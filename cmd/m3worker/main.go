@@ -3,7 +3,9 @@
 // worker which contiguous merge-group-aligned row range of a dataset
 // file it owns, and drives per-iteration scan rounds over it; all
 // model math stays on the coordinator, so the wire carries only
-// per-group partial states.
+// per-group partial states. The worker runs whatever passes and
+// pipeline stages the linked packages register; importing package m3
+// links every estimator's.
 //
 // Each accepted connection gets its own storage engine and shard
 // state, torn down when the connection closes. SIGTERM and SIGINT

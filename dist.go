@@ -2,12 +2,11 @@ package m3
 
 // Distributed training: a Cluster is a handle to a set of m3worker
 // processes, each owning one contiguous, merge-group-aligned row
-// shard of a dataset file. Cluster.Fit drives the same estimator
-// surface as Engine.Fit over the network and returns bit-identical
-// models: shard boundaries sit on the canonical merge-group grid and
-// the coordinator refolds the workers' per-group partials in global
-// row order, replaying a local grouped fold operation for operation
-// (see internal/dist).
+// shard of a dataset file. Cluster.Fit runs the estimator's own Fit on
+// a sharded Dataset: every data pass is broadcast to the workers and
+// their per-group partials refold in global row order, replaying a
+// local grouped fold operation for operation, so models are
+// bit-identical to Engine.Fit (see internal/dist).
 
 import (
 	"context"
@@ -15,6 +14,7 @@ import (
 	"fmt"
 
 	"m3/internal/dist"
+	"m3/internal/obs"
 )
 
 // ClusterStats reports a coordinator's accumulated traffic: broadcast
@@ -58,119 +58,22 @@ func (cl *Cluster) Shards() int { return cl.c.Shards() }
 func (cl *Cluster) Stats() ClusterStats { return cl.c.Stats() }
 
 // Fit trains est on the dataset file at dataPath, sharded across the
-// cluster's workers. Every worker must be able to open dataPath (a
-// shared filesystem, or a copy of the file at the same path). The
-// returned model is bit-identical — same predictions, same saved
-// bytes — to eng.Fit on the whole file.
+// cluster's workers: the file opens as a sharded Dataset and est.Fit
+// runs on it unchanged, its data passes running on the workers. Every
+// worker must be able to open dataPath (a shared filesystem, or a copy
+// of the file at the same path). The returned model is bit-identical —
+// same predictions, same saved bytes — to eng.Fit on the whole file.
+// Estimators that need the whole matrix in one process (k-NN,
+// mini-batch k-means, SGD) refuse a sharded dataset.
 func (cl *Cluster) Fit(ctx context.Context, est Estimator, dataPath string) (Model, error) {
-	spec, err := clusterSpec(est)
+	if est == nil {
+		return nil, errors.New("m3: nil estimator")
+	}
+	sp := obs.StartSpan("dist", fmt.Sprintf("fit %T", est))
+	defer sp.End()
+	ds, err := cl.c.Open(ctx, dataPath)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := cl.c.Fit(ctx, dataPath, spec)
-	if err != nil {
-		return nil, err
-	}
-	return wrapLoaded(inner)
-}
-
-// clusterSpec maps a root estimator onto the wire spec the
-// coordinator understands. Option defaults are NOT resolved here —
-// the coordinator applies the same withDefaults the local trainers
-// do, so a zero-valued Options means the same thing on both paths.
-func clusterSpec(est Estimator) (dist.Spec, error) {
-	switch e := est.(type) {
-	case LogisticRegression:
-		return dist.Spec{
-			Algo: "logistic", Binarize: e.Binarize, Positive: e.Positive,
-			Lambda: e.Options.Lambda, NoIntercept: e.Options.NoIntercept,
-			MaxIterations: e.Options.MaxIterations, GradTol: e.Options.GradTol,
-		}, nil
-	case SoftmaxRegression:
-		return dist.Spec{
-			Algo: "softmax", Classes: e.Classes,
-			Lambda: e.Options.Lambda, NoIntercept: e.Options.NoIntercept,
-			MaxIterations: e.Options.MaxIterations, GradTol: e.Options.GradTol,
-		}, nil
-	case LinearRegression:
-		algo := "linear"
-		if e.Exact {
-			algo = "linear-exact"
-		}
-		return dist.Spec{
-			Algo:   algo,
-			Lambda: e.Options.Lambda, NoIntercept: e.Options.NoIntercept,
-			MaxIterations: e.Options.MaxIterations, GradTol: e.Options.GradTol,
-		}, nil
-	case NaiveBayes:
-		return dist.Spec{
-			Algo: "bayes", Classes: e.Classes,
-			VarSmoothing: e.Options.VarSmoothing,
-		}, nil
-	case KMeansClustering:
-		spec := dist.Spec{
-			Algo: "kmeans", K: e.Options.K,
-			MaxIterations: e.Options.MaxIterations, Tol: e.Options.Tol,
-			Seed: e.Options.Seed, RandomInit: e.Options.RandomInit,
-			RunAllIterations: e.Options.RunAllIterations,
-		}
-		if init := e.Options.InitCentroids; init != nil {
-			k, d := init.Dims()
-			flat := make([]float64, 0, k*d)
-			for i := 0; i < k; i++ {
-				flat = append(flat, init.RawRow(i)...)
-			}
-			spec.InitCentroids = flat
-		}
-		return spec, nil
-	case PrincipalComponents:
-		return dist.Spec{
-			Algo: "pca", Components: e.Options.Components,
-			MaxIterations: e.Options.MaxIterations, Tol: e.Options.Tol,
-			Seed: e.Options.Seed,
-		}, nil
-	case SGDClassifier:
-		// Passed through so the coordinator's rejection (with its
-		// explanation) is the single source of truth.
-		return dist.Spec{Algo: "sgd"}, nil
-	case Pipeline:
-		if e.Estimator == nil {
-			return dist.Spec{}, errors.New("m3: pipeline has no estimator")
-		}
-		spec := dist.Spec{Algo: "pipeline"}
-		for i, st := range e.Stages {
-			ss, err := clusterStageSpec(st)
-			if err != nil {
-				return dist.Spec{}, fmt.Errorf("m3: pipeline stage %d: %w", i, err)
-			}
-			spec.Stages = append(spec.Stages, ss)
-		}
-		final, err := clusterSpec(e.Estimator)
-		if err != nil {
-			return dist.Spec{}, err
-		}
-		if final.Algo == "pipeline" {
-			return dist.Spec{}, errors.New("m3: nested pipelines cannot be trained on a cluster")
-		}
-		spec.Final = &final
-		return spec, nil
-	}
-	return dist.Spec{}, fmt.Errorf("m3: %T cannot be trained on a cluster", est)
-}
-
-// clusterStageSpec maps a pipeline transformer stage.
-func clusterStageSpec(tr Transformer) (dist.Spec, error) {
-	switch s := tr.(type) {
-	case StandardScaler:
-		return dist.Spec{Algo: "standard-scaler"}, nil
-	case MinMaxScaler:
-		return dist.Spec{Algo: "minmax-scaler"}, nil
-	case PrincipalComponents:
-		return dist.Spec{
-			Algo: "pca", Components: s.Options.Components,
-			MaxIterations: s.Options.MaxIterations, Tol: s.Options.Tol,
-			Seed: s.Options.Seed,
-		}, nil
-	}
-	return dist.Spec{}, fmt.Errorf("m3: %T is not a distributable transformer", tr)
+	return est.Fit(ctx, ds)
 }

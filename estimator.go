@@ -29,6 +29,7 @@ import (
 	"m3/internal/ml/logreg"
 	"m3/internal/ml/modelio"
 	"m3/internal/ml/pca"
+	"m3/internal/ml/preprocess"
 	"m3/internal/ml/sgd"
 )
 
@@ -68,6 +69,15 @@ func Fit(ctx context.Context, est Estimator, x *Matrix, labels []float64) (Model
 	return est.Fit(ctx, &Dataset{X: x, Labels: labels})
 }
 
+// unsharded refuses a sharded dataset for an estimator that needs the
+// whole matrix in one process.
+func unsharded(ds *Dataset, est Estimator) error {
+	if ds.Shards != nil {
+		return fmt.Errorf("m3: %T cannot be trained on a cluster", est)
+	}
+	return nil
+}
+
 // predictRows scores every row of x with f in one blocked parallel
 // scan. Each out[i] is written by exactly one worker, so the result is
 // identical to a sequential scan.
@@ -100,13 +110,10 @@ type LogisticRegression struct {
 
 // Fit implements Estimator.
 func (e LogisticRegression) Fit(ctx context.Context, ds *Dataset) (Model, error) {
-	y := ds.Labels
-	if e.Binarize {
-		y = ds.BinaryLabels(e.Positive)
-	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	m, err := logreg.Train(ctx, ds.X, y, opts)
+	rule := preprocess.BinaryRule{Binarize: e.Binarize, Positive: e.Positive}
+	m, err := logreg.TrainPlane(ctx, ds.Plane(opts.Workers), rule, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -143,13 +150,9 @@ type SoftmaxRegression struct {
 
 // Fit implements Estimator.
 func (e SoftmaxRegression) Fit(ctx context.Context, ds *Dataset) (Model, error) {
-	y, err := ds.IntLabels(e.Classes)
-	if err != nil {
-		return nil, err
-	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	m, err := logreg.TrainSoftmax(ctx, ds.X, y, e.Classes, opts)
+	m, err := logreg.TrainSoftmaxPlane(ctx, ds.Plane(opts.Workers), e.Classes, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -204,9 +207,9 @@ func (e LinearRegression) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 		err error
 	)
 	if e.Exact {
-		m, err = linreg.TrainExact(ctx, ds.X, ds.Labels, opts)
+		m, err = linreg.TrainExactPlane(ctx, ds.Plane(opts.Workers), opts)
 	} else {
-		m, err = linreg.Train(ctx, ds.X, ds.Labels, opts)
+		m, err = linreg.TrainPlane(ctx, ds.Plane(opts.Workers), opts)
 	}
 	if err != nil {
 		return nil, err
@@ -243,7 +246,7 @@ type KMeansClustering struct {
 func (e KMeansClustering) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	res, err := kmeans.Run(ctx, ds.X, opts)
+	res, err := kmeans.RunPlane(ctx, ds.Plane(opts.Workers), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -259,6 +262,9 @@ type MiniBatchClustering struct {
 
 // Fit implements Estimator; labels are ignored.
 func (e MiniBatchClustering) Fit(ctx context.Context, ds *Dataset) (Model, error) {
+	if err := unsharded(ds, e); err != nil {
+		return nil, err
+	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
 	res, err := kmeans.MiniBatch(ctx, ds.X, opts)
@@ -310,10 +316,16 @@ func (e KNNClassifier) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
+	if err := unsharded(ds, e); err != nil {
+		return nil, err
+	}
 	if e.K < 1 || e.K > ds.X.Rows() {
 		return nil, fmt.Errorf("m3: k = %d outside [1,%d]", e.K, ds.X.Rows())
 	}
-	y, err := ds.IntLabels(e.Classes)
+	if ds.Labels == nil {
+		return nil, errors.New("m3: dataset has no labels")
+	}
+	y, err := preprocess.IntLabels(ds.Labels, e.Classes)
 	if err != nil {
 		return nil, err
 	}
@@ -387,9 +399,12 @@ type SGDClassifier struct {
 
 // Fit implements Estimator.
 func (e SGDClassifier) Fit(ctx context.Context, ds *Dataset) (Model, error) {
+	if ds.Shards != nil {
+		return nil, errors.New("m3: SGD is a sequential single-pass trainer; its updates depend on row order across the whole dataset and cannot be sharded — train locally instead")
+	}
 	y := ds.Labels
 	if e.Binarize {
-		y = ds.BinaryLabels(e.Positive)
+		y = preprocess.BinaryLabels(y, e.Positive)
 	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
@@ -418,13 +433,9 @@ func (NaiveBayes) streamingFit() bool { return true }
 
 // Fit implements Estimator.
 func (e NaiveBayes) Fit(ctx context.Context, ds *Dataset) (Model, error) {
-	y, err := ds.IntLabels(e.Classes)
-	if err != nil {
-		return nil, err
-	}
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	m, err := bayes.Train(ctx, ds.X, y, e.Classes, opts)
+	m, err := bayes.TrainPlane(ctx, ds.Plane(opts.Workers), e.Classes, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +480,7 @@ func (PrincipalComponents) streamingFit() bool { return true }
 func (e PrincipalComponents) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	res, err := pca.Fit(ctx, ds.X, opts)
+	res, err := pca.FitPlane(ctx, ds.Plane(opts.Workers), opts)
 	if err != nil {
 		return nil, err
 	}

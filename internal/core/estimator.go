@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"m3/internal/exec"
 	"m3/internal/mat"
 	"m3/internal/obs"
 )
@@ -21,13 +22,19 @@ import (
 // (worker pool, storage backend). Engine.Fit builds one from a Table;
 // engine-less callers (plain heap matrices) can construct it directly
 // or through the root package's Fit helper.
+//
+// A sharded dataset (Shards non-nil) keeps its rows on a cluster's
+// workers: X and Labels are nil, every data pass runs there (Plane),
+// FusedDataset pushes stages to the workers and Materialize caches
+// their fused views. Those two change what every later pass over the
+// cluster sees, so a sharded dataset serves one fit.
 type Dataset struct {
 	// X is the feature matrix (heap- or mmap-backed; estimators
-	// cannot tell the difference).
+	// cannot tell the difference). Nil for sharded datasets.
 	X *mat.Dense
 	// Labels is the raw label vector from the dataset file (nil when
-	// the data is unlabelled). Use BinaryLabels / IntLabels for typed
-	// views.
+	// the data is unlabelled, and for sharded datasets). Passes derive
+	// typed targets from it per shard.
 	Labels []float64
 	// Workers is the engine-resolved worker-pool size estimators
 	// inherit unless their FitOptions override it. 0 lets the
@@ -39,47 +46,46 @@ type Dataset struct {
 	Path string
 	// Engine is the owning engine (nil for engine-less datasets).
 	Engine *Engine
+	// Shards holds a sharded dataset's rows (see internal/dist).
+	Shards Shards
 
 	// scratch is the engine allocation backing a transformed dataset
 	// (nil for opened tables and caller-built datasets); Release frees
 	// it early.
 	scratch *ScratchMatrix
+	// fused marks a sharded dataset whose workers scan through pushed
+	// stages not yet materialized.
+	fused bool
 }
 
-// BinaryLabels returns a 0/1 view of the labels: entries equal to
-// positive become 1, everything else 0 — the "digit d vs rest" tasks
-// of the paper's experiments. Returns nil when the dataset is
-// unlabelled.
-func (ds *Dataset) BinaryLabels(positive float64) []float64 {
-	if ds.Labels == nil {
-		return nil
-	}
-	out := make([]float64, len(ds.Labels))
-	for i, v := range ds.Labels {
-		//m3vet:allow floateq -- class labels are exact ids, never computed
-		if v == positive {
-			out[i] = 1
-		}
-	}
-	return out
+// Shards is where a sharded dataset's rows live: a plane over the
+// workers' shards, plus the two operations that change what they
+// scan.
+type Shards interface {
+	exec.Plane
+	// Push appends a fitted stage to every shard's fused view.
+	Push(ctx context.Context, st Stage) error
+	// Materialize caches every shard's current view.
+	Materialize(ctx context.Context) error
 }
 
-// IntLabels returns the labels as class indices, validating that every
-// entry is a whole number in [0, classes).
-func (ds *Dataset) IntLabels(classes int) ([]int, error) {
-	if ds.Labels == nil {
-		return nil, errors.New("core: dataset has no labels")
+// Plane returns where the dataset's passes run: the cluster for a
+// sharded dataset, otherwise one in-process shard over X scanned by
+// up to workers goroutines.
+func (ds *Dataset) Plane(workers int) exec.Plane {
+	if ds.Shards != nil {
+		return ds.Shards
 	}
-	out := make([]int, len(ds.Labels))
-	for i, v := range ds.Labels {
-		n := int(v)
-		//m3vet:allow floateq -- integrality check: exact comparison is the test
-		if float64(n) != v || n < 0 || n >= classes {
-			return nil, fmt.Errorf("core: label[%d] = %v not an integer in [0,%d)", i, v, classes)
-		}
-		out[i] = n
+	return exec.Local(ds.X, ds.Labels, workers)
+}
+
+// Fused reports whether the dataset's rows are a virtual transformed
+// view — a fused matrix, or shards scanning through pushed stages.
+func (ds *Dataset) Fused() bool {
+	if ds.Shards != nil {
+		return ds.fused
 	}
-	return out, nil
+	return ds.X.IsFused()
 }
 
 // Model is a fitted model: single-row and batch prediction plus

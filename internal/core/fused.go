@@ -17,24 +17,23 @@ import (
 	"m3/internal/mat"
 )
 
-// FuseKernels composes a transformer chain into a single per-worker
-// kernel factory: each returned kernel threads a row through every
-// stage, staging intermediates in private buffers so one kernel call
+// FuseKernels composes a stage chain into a single per-worker kernel
+// factory: each returned kernel threads a row through every stage,
+// staging intermediates in private buffers so one kernel call
 // performs the whole chain with zero allocation. The chain must be
 // non-empty and width-compatible (validated by FusedDataset).
-func FuseKernels(chain []BlockTransformer) func() RowKernel {
+func FuseKernels(chain []Stage) func() RowKernel {
 	if len(chain) == 1 {
-		bt := chain[0]
-		return bt.BlockKernel
+		return chain[0].BlockKernel
 	}
-	stages := append([]BlockTransformer(nil), chain...)
+	stages := append([]Stage(nil), chain...)
 	return func() RowKernel {
 		kerns := make([]RowKernel, len(stages))
 		bufs := make([][]float64, len(stages)-1)
-		for i, bt := range stages {
-			kerns[i] = bt.BlockKernel()
+		for i, st := range stages {
+			kerns[i] = st.BlockKernel()
 			if i < len(bufs) {
-				bufs[i] = make([]float64, bt.OutCols())
+				bufs[i] = make([]float64, st.OutCols())
 			}
 		}
 		return func(dst, src []float64) []float64 {
@@ -54,36 +53,50 @@ func FuseKernels(chain []BlockTransformer) func() RowKernel {
 // intermediate materialization. Fusing an already-fused dataset
 // composes the chains (the source store is still read exactly once
 // per row). The view shares the source backing: it stays valid
-// exactly as long as ds does, and Release on it is a no-op.
-func FusedDataset(ds *Dataset, chain []BlockTransformer) (*Dataset, error) {
-	if ds == nil || ds.X == nil {
+// exactly as long as ds does, and Release on it is a no-op. On a
+// sharded dataset the stages are pushed to the workers, which fuse
+// them into their shard views.
+func FusedDataset(ctx context.Context, ds *Dataset, chain []Stage) (*Dataset, error) {
+	if ds == nil || (ds.X == nil && ds.Shards == nil) {
 		return nil, errors.New("core: nil dataset")
 	}
 	if len(chain) == 0 {
 		return nil, errors.New("core: empty transformer chain")
 	}
-	in := ds.X.Cols()
-	for i, bt := range chain {
-		if bt == nil {
+	_, in := ds.dims()
+	for i, st := range chain {
+		if st == nil {
 			return nil, fmt.Errorf("core: nil transformer at chain position %d", i)
 		}
-		if got := bt.InCols(); got != in {
+		if got := st.InCols(); got != in {
 			return nil, fmt.Errorf("core: chain stage %d expects %d columns, previous stage yields %d", i, got, in)
 		}
-		in = bt.OutCols()
+		in = st.OutCols()
 		if in < 1 {
 			return nil, fmt.Errorf("core: chain stage %d yields non-positive width %d", i, in)
 		}
 	}
-	x := mat.NewFused(ds.X, in, FuseKernels(chain))
-	return &Dataset{
-		X:       x,
-		Labels:  ds.Labels,
-		Workers: ds.Workers,
-		Mapped:  ds.Mapped,
-		Path:    ds.Path,
-		Engine:  ds.Engine,
-	}, nil
+	out := *ds
+	out.scratch = nil
+	if ds.Shards != nil {
+		for _, st := range chain {
+			if err := ds.Shards.Push(ctx, st); err != nil {
+				return nil, err
+			}
+		}
+		out.fused = true
+		return &out, nil
+	}
+	out.X = mat.NewFused(ds.X, in, FuseKernels(chain))
+	return &out, nil
+}
+
+// dims returns the dataset's row count and current width.
+func (ds *Dataset) dims() (int, int) {
+	if ds.Shards != nil {
+		return ds.Shards.Dims()
+	}
+	return ds.X.Dims()
 }
 
 // Materialize runs one fused pass that writes ds's rows — transformed
@@ -92,8 +105,17 @@ func FusedDataset(ds *Dataset, chain []BlockTransformer) (*Dataset, error) {
 // performs for multi-epoch trainers: the cache is built by streaming
 // the source through the whole fused chain once. For an already
 // concrete dataset it is a plain copy. workers <= 0 inherits the
-// dataset's engine setting.
+// dataset's engine setting. On a sharded dataset every worker caches
+// its own shard.
 func Materialize(ctx context.Context, ds *Dataset, workers int) (*Dataset, error) {
+	if ds != nil && ds.Shards != nil {
+		if err := ds.Shards.Materialize(ctx); err != nil {
+			return nil, err
+		}
+		out := *ds
+		out.fused = false
+		return &out, nil
+	}
 	if ds == nil || ds.X == nil {
 		return nil, errors.New("core: nil dataset")
 	}

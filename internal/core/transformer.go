@@ -50,14 +50,11 @@ type Transformer interface {
 	FitTransform(ctx context.Context, ds *Dataset) (TransformerModel, error)
 }
 
-// BlockTransformer is the operator-fusion contract: a fitted stage
-// that exposes its per-worker block kernel, so scans can apply the
-// stage between the block read and the consumer callback instead of
-// materializing a transformed matrix. Pipelines fuse every
-// BlockTransformer stage (FusedDataset); stages lacking it fall back
-// to the materializing Transform path.
-type BlockTransformer interface {
-	TransformerModel
+// Stage is the operator-fusion contract: a fitted stage's per-worker
+// block kernel, which scans apply between the block read and the
+// consumer callback instead of materializing a transformed matrix.
+// The inner ml types implement it (preprocess scalers, pca.Result).
+type Stage interface {
 	// InCols is the source row width the kernel consumes.
 	InCols() int
 	// OutCols is the transformed row width the kernel produces.
@@ -67,6 +64,14 @@ type BlockTransformer interface {
 	// reused across calls) and must not write through src; any
 	// reusable scratch belongs to the returned closure.
 	BlockKernel() RowKernel
+}
+
+// BlockTransformer is a fitted transformer with a block kernel.
+// Pipelines fuse every BlockTransformer stage (FusedDataset); stages
+// lacking it fall back to the materializing Transform path.
+type BlockTransformer interface {
+	TransformerModel
+	Stage
 }
 
 // Release frees the engine scratch backing a transformed dataset —
@@ -98,6 +103,9 @@ func (ds *Dataset) Release() error {
 // error — including cancellation — the scratch is released before
 // returning, so an aborted pipeline leaves no temp file behind.
 func TransformDataset(ctx context.Context, ds *Dataset, outCols, workers int, newFn func() RowKernel) (*Dataset, error) {
+	if ds != nil && ds.Shards != nil {
+		return nil, errors.New("core: a sharded dataset's rows stay on its workers; only block-kernel stages apply to it")
+	}
 	if ds == nil || ds.X == nil {
 		return nil, errors.New("core: nil dataset")
 	}

@@ -9,16 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"m3/internal/blas"
+	"m3/internal/core"
 	"m3/internal/exec"
-	"m3/internal/mat"
-	"m3/internal/ml/bayes"
-	"m3/internal/ml/kmeans"
-	"m3/internal/ml/linreg"
-	"m3/internal/ml/logreg"
-	"m3/internal/ml/modelio"
-	"m3/internal/ml/pca"
-	"m3/internal/ml/preprocess"
 	"m3/internal/obs"
 )
 
@@ -83,7 +75,9 @@ type workerConn struct {
 }
 
 // Coordinator drives distributed fits over a set of dialed workers.
-// It is not safe for concurrent Fit calls.
+// After Open it is the plane (core.Shards) of the sharded dataset: it
+// broadcasts passes and refolds their group states. It is not safe
+// for concurrent fits.
 type Coordinator struct {
 	opts    Options
 	workers []*workerConn
@@ -91,17 +85,12 @@ type Coordinator struct {
 	// ascending shard order — the refold order.
 	active []*workerConn
 
-	path       string
-	rows, cols int
-	hasLabels  bool
-	groupRows  int
-	// curCols tracks the view width through pipeline stages.
-	curCols int
+	// rows is the open dataset's row count, cols its current width
+	// (changed by pushed stages), groupRows its merge-group height.
+	rows, cols, groupRows int
 
 	rounds, bytesSent, bytesRecv atomic.Int64
 	stragglerNanos               atomic.Int64
-	// stall accumulates workers' simulated paging stall seconds.
-	stall float64
 }
 
 // DialWorkers connects to every addr (retrying transient failures)
@@ -123,17 +112,15 @@ func DialWorkers(ctx context.Context, addrs []string, opts Options) (*Coordinato
 	return c, nil
 }
 
-// Close drops every worker connection. Workers tear down their shard
-// state when the connection closes.
+// Close drops every worker connection, failing any call in flight.
+// Workers tear down their shard state when the connection closes.
 func (c *Coordinator) Close() error {
 	var errs []error
 	for _, w := range c.workers {
-		if w.conn != nil {
-			errs = append(errs, w.conn.Close())
-			w.conn = nil
+		if err := w.conn.Close(); !errors.Is(err, net.ErrClosed) {
+			errs = append(errs, err)
 		}
 	}
-	c.workers, c.active = nil, nil
 	return errors.Join(errs...)
 }
 
@@ -153,20 +140,13 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// Stall returns accumulated simulated paging stall seconds reported
-// by workers (zero on real backends).
-func (c *Coordinator) Stall() float64 { return c.stall }
-
 // call performs one serialized RPC on w. ctx cancellation pokes the
 // connection deadline so a mid-round cancel unblocks promptly.
-func (c *Coordinator) call(ctx context.Context, w *workerConn, op string, reqBody []byte, resp any) error {
+func (c *Coordinator) call(ctx context.Context, w *workerConn, op string, body []byte) (*response, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.conn == nil {
-		return fmt.Errorf("dist: worker %s: connection closed", w.addr)
-	}
 	w.seq++
-	req := request{Seq: w.seq, Op: op, Body: reqBody}
+	req := request{Seq: w.seq, Op: op, Body: body}
 	w.conn.SetDeadline(time.Now().Add(c.opts.CallTimeout))
 	stop := context.AfterFunc(ctx, func() {
 		w.conn.SetDeadline(time.Unix(1, 0))
@@ -176,25 +156,31 @@ func (c *Coordinator) call(ctx context.Context, w *workerConn, op string, reqBod
 	c.bytesSent.Add(int64(sent))
 	bytesSentTotal.With(op).Add(float64(sent))
 	if err != nil {
-		return c.rpcErr(ctx, w, op, err)
+		return nil, c.rpcErr(ctx, w, op, err)
 	}
-	var envelope response
-	recvd, err := readFrame(w.conn, &envelope)
+	var resp response
+	recvd, err := readFrame(w.conn, &resp)
 	c.bytesRecv.Add(int64(recvd))
 	bytesRecvTotal.With(op).Add(float64(recvd))
 	if err != nil {
-		return c.rpcErr(ctx, w, op, err)
+		return nil, c.rpcErr(ctx, w, op, err)
 	}
-	if envelope.Seq != req.Seq {
-		return fmt.Errorf("dist: worker %s: %s: reply %d for request %d", w.addr, op, envelope.Seq, req.Seq)
+	if resp.Seq != req.Seq {
+		return nil, fmt.Errorf("dist: worker %s: %s: reply %d for request %d", w.addr, op, resp.Seq, req.Seq)
 	}
-	if envelope.Err != "" {
-		return fmt.Errorf("dist: worker %s: %s", w.addr, envelope.Err)
+	if resp.Err != "" {
+		return nil, fmt.Errorf("dist: worker %s: %s", w.addr, resp.Err)
 	}
-	if resp == nil {
-		return nil
+	return &resp, nil
+}
+
+// callWith encodes req and calls op on w.
+func (c *Coordinator) callWith(ctx context.Context, w *workerConn, op string, req any) (*response, error) {
+	body, err := encodeBody(req)
+	if err != nil {
+		return nil, err
 	}
-	return decodeBody(envelope.Body, resp)
+	return c.call(ctx, w, op, body)
 }
 
 // rpcErr attributes a transport failure: a canceled context wins over
@@ -206,18 +192,14 @@ func (c *Coordinator) rpcErr(ctx context.Context, w *workerConn, op string, err 
 	return fmt.Errorf("dist: worker %s: %s: %w", w.addr, op, err)
 }
 
-// broadcast sends op with the same request to every active worker in
-// parallel and returns the responses in shard order — one
-// bulk-synchronous round.
-func broadcast[Resp any](ctx context.Context, c *Coordinator, op string, req any) ([]*Resp, error) {
-	body, err := encodeBody(req)
-	if err != nil {
-		return nil, err
-	}
+// broadcast runs op on every active worker in parallel, sending
+// bodies[i] to worker i, and returns the responses in shard order —
+// one bulk-synchronous round.
+func (c *Coordinator) broadcast(ctx context.Context, op string, bodies [][]byte) ([]*response, error) {
 	sp := obs.StartSpan("dist", "round "+op)
 	defer sp.End()
 	n := len(c.active)
-	out := make([]*Resp, n)
+	out := make([]*response, n)
 	errs := make([]error, n)
 	durs := make([]time.Duration, n)
 	var wg sync.WaitGroup
@@ -226,12 +208,7 @@ func broadcast[Resp any](ctx context.Context, c *Coordinator, op string, req any
 		go func(i int, w *workerConn) {
 			defer wg.Done()
 			start := time.Now()
-			var r Resp
-			if err := c.call(ctx, w, op, body, &r); err != nil {
-				errs[i] = err
-				return
-			}
-			out[i] = &r
+			out[i], errs[i] = c.call(ctx, w, op, bodies[i])
 			durs[i] = time.Since(start)
 		}(i, w)
 	}
@@ -243,12 +220,7 @@ func broadcast[Resp any](ctx context.Context, c *Coordinator, op string, req any
 	}
 	minD, maxD := durs[0], durs[0]
 	for _, d := range durs[1:] {
-		if d < minD {
-			minD = d
-		}
-		if d > maxD {
-			maxD = d
-		}
+		minD, maxD = min(minD, d), max(maxD, d)
 	}
 	wait := maxD - minD
 	c.stragglerNanos.Add(int64(wait))
@@ -257,538 +229,166 @@ func broadcast[Resp any](ctx context.Context, c *Coordinator, op string, req any
 	return out, nil
 }
 
-// Open shards path across the dialed workers: it probes the file's
-// shape, plans merge-group-aligned contiguous shards, and has each
-// active worker open its row window. Reusable across Fit calls.
-func (c *Coordinator) Open(ctx context.Context, path string) error {
-	if len(c.workers) == 0 {
-		return errors.New("dist: no workers")
-	}
-	body, err := encodeBody(&statReq{Path: path})
+// broadcastAll is broadcast with the same request for every worker.
+func (c *Coordinator) broadcastAll(ctx context.Context, op string, req any) ([]*response, error) {
+	body, err := encodeBody(req)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	bodies := make([][]byte, len(c.active))
+	for i := range bodies {
+		bodies[i] = body
+	}
+	return c.broadcast(ctx, op, bodies)
+}
+
+// Open shards the dataset file at path across the dialed workers and
+// returns it as a sharded dataset whose passes run on them: it probes
+// the file's shape, plans merge-group-aligned contiguous shards, has
+// each active worker open its row window, and resets their per-fit
+// state. Every fit opens afresh.
+func (c *Coordinator) Open(ctx context.Context, path string) (*core.Dataset, error) {
+	if len(c.workers) == 0 {
+		return nil, errors.New("dist: no workers")
+	}
+	resp, err := c.callWith(ctx, c.workers[0], "stat", &statReq{Path: path})
+	if err != nil {
+		return nil, err
 	}
 	var st statResp
-	if err := c.call(ctx, c.workers[0], "stat", body, &st); err != nil {
-		return err
+	if err := decodeBody(resp.Body, &st); err != nil {
+		return nil, err
 	}
 	shards, err := PlanShards(st.Rows, len(c.workers))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.path = path
-	c.rows, c.cols, c.hasLabels = st.Rows, st.Cols, st.HasLabels
-	c.curCols = st.Cols
-	c.groupRows = exec.GroupRows(st.Rows)
+	c.rows, c.cols, c.groupRows = st.Rows, st.Cols, exec.GroupRows(st.Rows)
 	c.active = c.workers[:len(shards)]
-
-	var wg sync.WaitGroup
-	errs := make([]error, len(shards))
-	for i, shard := range shards {
-		w := c.active[i]
-		w.lo, w.hi = shard.Lo, shard.Hi
-		wg.Add(1)
-		go func(i int, w *workerConn, shard Range) {
-			defer wg.Done()
-			body, err := encodeBody(&openReq{Path: path, Lo: shard.Lo, Hi: shard.Hi, GroupRows: c.groupRows})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			var resp openResp
-			errs[i] = c.call(ctx, w, "open", body, &resp)
-		}(i, w, shard)
-	}
-	wg.Wait()
-	c.rounds.Add(1)
-	roundsTotal.With("open").Inc()
-	return errors.Join(errs...)
-}
-
-// Fit opens path (sharded across the workers) and runs the fit spec
-// describes, returning the inner model (*logreg.Model,
-// *kmeans.Result, *modelio.Pipeline, ...) — the same values a local
-// fit produces, bit for bit.
-func (c *Coordinator) Fit(ctx context.Context, path string, spec Spec) (any, error) {
-	sp := obs.StartSpan("dist", "fit "+spec.Algo)
-	defer sp.End()
-	if err := c.Open(ctx, path); err != nil {
-		return nil, err
-	}
-	if _, err := broadcast[resetResp](ctx, c, "reset", &resetReq{}); err != nil {
-		return nil, err
-	}
-	return c.fitSpec(ctx, spec)
-}
-
-// fitSpec dispatches one estimator or pipeline fit on the open,
-// already-reset shards.
-func (c *Coordinator) fitSpec(ctx context.Context, spec Spec) (any, error) {
-	switch spec.Algo {
-	case "logistic":
-		return c.fitLogistic(ctx, spec)
-	case "softmax":
-		return c.fitSoftmax(ctx, spec)
-	case "linear":
-		return c.fitLinear(ctx, spec)
-	case "linear-exact":
-		return c.fitLinearExact(ctx, spec)
-	case "bayes":
-		return c.fitBayes(ctx, spec)
-	case "kmeans":
-		return c.fitKMeans(ctx, spec)
-	case "pca":
-		return c.fitPCA(ctx, spec)
-	case "standard-scaler":
-		return c.fitStandard(ctx)
-	case "minmax-scaler":
-		return c.fitMinMax(ctx)
-	case "pipeline":
-		return c.fitPipeline(ctx, spec)
-	case "sgd":
-		return nil, errors.New("dist: SGD is a sequential single-pass trainer; its updates depend on row order across the whole dataset and cannot be sharded — train locally instead")
-	}
-	return nil, fmt.Errorf("dist: unknown algorithm %q", spec.Algo)
-}
-
-// fitLogistic drives L-BFGS through the shared TrainWith driver; each
-// objective evaluation is one broadcast round whose group partials
-// refold into exactly the local scan's fold.
-func (c *Coordinator) fitLogistic(ctx context.Context, spec Spec) (*logreg.Model, error) {
-	d := c.curCols
-	o := logreg.ResolveOptions(logreg.Options{
-		Lambda:        spec.Lambda,
-		NoIntercept:   spec.NoIntercept,
-		MaxIterations: spec.MaxIterations,
-		GradTol:       spec.GradTol,
-	})
-	intercept := !o.NoIntercept
-	obj := &logreg.RemoteObjective{
-		N: c.rows, D: d, Lambda: o.Lambda, Intercept: intercept,
-		Reduce: func(params []float64) (*logreg.GradPartial, error) {
-			resps, err := broadcast[gradResp](ctx, c, "logreg/grad",
-				&gradReq{Params: params, Intercept: intercept, Binarize: spec.Binarize, Positive: spec.Positive})
-			if err != nil {
-				return nil, err
-			}
-			total := logreg.NewGradPartial(d)
-			for _, r := range resps {
-				c.stall += r.Stall
-				for _, g := range r.Groups {
-					logreg.MergeGrad(total, g.State)
-				}
-			}
-			return total, nil
-		},
-	}
-	m, err := logreg.TrainWith(ctx, obj, d, o)
-	if obj.Err != nil {
-		return nil, obj.Err
-	}
-	return m, err
-}
-
-// fitSoftmax mirrors fitLogistic for the multiclass objective.
-func (c *Coordinator) fitSoftmax(ctx context.Context, spec Spec) (*logreg.SoftmaxModel, error) {
-	d, k := c.curCols, spec.Classes
-	o := logreg.ResolveOptions(logreg.Options{
-		Lambda:        spec.Lambda,
-		NoIntercept:   spec.NoIntercept,
-		MaxIterations: spec.MaxIterations,
-		GradTol:       spec.GradTol,
-	})
-	intercept := !o.NoIntercept
-	obj := &logreg.RemoteSoftmaxObjective{
-		N: c.rows, D: d, Classes: k, Lambda: o.Lambda, Intercept: intercept,
-		Reduce: func(params []float64) (*logreg.SoftmaxPartial, error) {
-			resps, err := broadcast[softmaxResp](ctx, c, "softmax/grad",
-				&softmaxReq{Params: params, Classes: k, Intercept: intercept})
-			if err != nil {
-				return nil, err
-			}
-			total := logreg.NewSoftmaxPartial(len(params), k)
-			for _, r := range resps {
-				c.stall += r.Stall
-				for _, g := range r.Groups {
-					logreg.MergeSoftmax(total, g.State)
-				}
-			}
-			return total, nil
-		},
-	}
-	m, err := logreg.TrainSoftmaxWith(ctx, obj, d, k, o)
-	if obj.Err != nil {
-		return nil, obj.Err
-	}
-	return m, err
-}
-
-// fitLinear drives the iterative least-squares path.
-func (c *Coordinator) fitLinear(ctx context.Context, spec Spec) (*linreg.Model, error) {
-	d := c.curCols
-	o := linreg.ResolveOptions(linreg.Options{
-		Lambda:        spec.Lambda,
-		NoIntercept:   spec.NoIntercept,
-		MaxIterations: spec.MaxIterations,
-		GradTol:       spec.GradTol,
-	})
-	intercept := !o.NoIntercept
-	obj := &linreg.RemoteObjective{
-		N: c.rows, D: d, Lambda: o.Lambda, Intercept: intercept,
-		Reduce: func(params []float64) (*linreg.LsqPartial, error) {
-			resps, err := broadcast[lsqResp](ctx, c, "linreg/lsq",
-				&lsqReq{Params: params, Intercept: intercept})
-			if err != nil {
-				return nil, err
-			}
-			total := linreg.NewLsqPartial(d)
-			for _, r := range resps {
-				c.stall += r.Stall
-				for _, g := range r.Groups {
-					linreg.MergeLsq(total, g.State)
-				}
-			}
-			return total, nil
-		},
-	}
-	m, err := linreg.TrainWith(ctx, obj, d, o)
-	if obj.Err != nil {
-		return nil, obj.Err
-	}
-	return m, err
-}
-
-// fitLinearExact closes the ridge normal equations from one Gram
-// round.
-func (c *Coordinator) fitLinearExact(ctx context.Context, spec Spec) (*linreg.Model, error) {
-	d := c.curCols
-	o := linreg.ResolveOptions(linreg.Options{Lambda: spec.Lambda, NoIntercept: spec.NoIntercept})
-	resps, err := broadcast[gramResp](ctx, c, "linreg/gram", &gramReq{NoIntercept: o.NoIntercept})
-	if err != nil {
-		return nil, err
-	}
-	total := linreg.NewGramPartial(d, o.NoIntercept)
-	for _, r := range resps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			linreg.MergeGram(total, g.State)
-		}
-	}
-	return linreg.ModelFromGram(total, c.rows, d, o.Lambda, o.NoIntercept)
-}
-
-// fitBayes folds one counting round into the closed-form model.
-func (c *Coordinator) fitBayes(ctx context.Context, spec Spec) (*bayes.Model, error) {
-	d, k := c.curCols, spec.Classes
-	resps, err := broadcast[bayesResp](ctx, c, "bayes/counts", &bayesReq{Classes: k})
-	if err != nil {
-		return nil, err
-	}
-	total := bayes.NewCountPartial(k, d)
-	for _, r := range resps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			bayes.MergeCounts(total, g.State)
-		}
-	}
-	return bayes.ModelFromCounts(total, c.rows, k, d, bayes.DefaultVarSmoothing(spec.VarSmoothing))
-}
-
-// fitStandard folds one moments round into a standard scaler.
-func (c *Coordinator) fitStandard(ctx context.Context) (*preprocess.StandardScaler, error) {
-	resps, err := broadcast[momentsResp](ctx, c, "moments", &momentsReq{})
-	if err != nil {
-		return nil, err
-	}
-	total := preprocess.NewMoments(c.curCols)
-	for _, r := range resps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			preprocess.MergeMoments(total, g.State)
-		}
-	}
-	return preprocess.StandardFromMoments(total), nil
-}
-
-// fitMinMax folds one extrema round into a min-max scaler.
-func (c *Coordinator) fitMinMax(ctx context.Context) (*preprocess.MinMaxScaler, error) {
-	resps, err := broadcast[extremaResp](ctx, c, "extrema", &extremaReq{})
-	if err != nil {
-		return nil, err
-	}
-	total := preprocess.NewExtrema(c.curCols)
-	for _, r := range resps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			preprocess.MergeExtrema(total, g.State)
-		}
-	}
-	return preprocess.MinMaxFromExtrema(total), nil
-}
-
-// fitPCA runs the two distributed data passes (column sums, scatter
-// at the mean) and finishes the decomposition locally — the exact
-// split pca.Fit performs.
-func (c *Coordinator) fitPCA(ctx context.Context, spec Spec) (*pca.Result, error) {
-	n, d := c.rows, c.curCols
-	o, err := pca.ResolveOptions(pca.Options{
-		Components:    spec.Components,
-		MaxIterations: spec.MaxIterations,
-		Tol:           spec.Tol,
-		Seed:          spec.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if o.Components > d {
-		return nil, fmt.Errorf("pca: %d components exceed %d features", o.Components, d)
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("pca: need >= 2 rows, got %d", n)
-	}
-	meanResps, err := broadcast[pcaMeanResp](ctx, c, "pca/mean", &pcaMeanReq{})
-	if err != nil {
-		return nil, err
-	}
-	mean := make([]float64, d)
-	for _, r := range meanResps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			pca.MergeSum(mean, g.State)
-		}
-	}
-	blas.Scal(1/float64(n), mean)
-	covResps, err := broadcast[pcaCovResp](ctx, c, "pca/cov", &pcaCovReq{Mean: mean})
-	if err != nil {
-		return nil, err
-	}
-	total := pca.NewCovPartial(d)
-	for _, r := range covResps {
-		c.stall += r.Stall
-		for _, g := range r.Groups {
-			pca.MergeCov(total, g.State)
-		}
-	}
-	return pca.FinishFromCov(ctx, total.Part, mean, n, o)
-}
-
-// fitKMeans runs the shared Lloyd driver over the sharded data plane:
-// every data-touching step is a broadcast round (or a routed
-// single-shard call), every bit of model math happens in RunPlane.
-func (c *Coordinator) fitKMeans(ctx context.Context, spec Spec) (*kmeans.Result, error) {
-	opts := kmeans.Options{
-		K:                spec.K,
-		MaxIterations:    spec.MaxIterations,
-		Tol:              spec.Tol,
-		Seed:             spec.Seed,
-		RandomInit:       spec.RandomInit,
-		RunAllIterations: spec.RunAllIterations,
-	}
-	if spec.InitCentroids != nil {
-		d := c.curCols
-		if spec.K < 1 || len(spec.InitCentroids) != spec.K*d {
-			return nil, fmt.Errorf("dist: InitCentroids has %d values, want %dx%d", len(spec.InitCentroids), spec.K, d)
-		}
-		init := mat.NewDense(spec.K, d)
-		for i := 0; i < spec.K; i++ {
-			init.SetRow(i, spec.InitCentroids[i*d:(i+1)*d])
-		}
-		opts.InitCentroids = init
-	}
-	res, err := kmeans.RunPlane(ctx, &distPlane{c: c}, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.stall += res.Stall
-	return res, nil
-}
-
-// fitPipeline fits each transformer stage distributively, pushes the
-// fitted stage to every worker (extending their fused views), then
-// fits the final estimator — materializing the transformed shards
-// once first for multi-epoch finals, exactly like the local pipeline.
-func (c *Coordinator) fitPipeline(ctx context.Context, spec Spec) (*modelio.Pipeline, error) {
-	if spec.Final == nil {
-		return nil, errors.New("dist: pipeline has no final estimator")
-	}
-	p := &modelio.Pipeline{}
-	for i, stage := range spec.Stages {
-		var (
-			inner any
-			req   stageReq
-			err   error
-		)
-		switch stage.Algo {
-		case "standard-scaler":
-			var s *preprocess.StandardScaler
-			if s, err = c.fitStandard(ctx); err == nil {
-				inner = s
-				req = stageReq{Kind: "standard", Mean: s.Mean, Std: s.Std}
-			}
-		case "minmax-scaler":
-			var s *preprocess.MinMaxScaler
-			if s, err = c.fitMinMax(ctx); err == nil {
-				inner = s
-				req = stageReq{Kind: "minmax", Min: s.Min, Range: s.Range}
-			}
-		case "pca":
-			var r *pca.Result
-			if r, err = c.fitPCA(ctx, stage); err == nil {
-				inner = r
-				k, d := r.Components.Dims()
-				flat := make([]float64, 0, k*d)
-				for row := 0; row < k; row++ {
-					flat = append(flat, r.Components.RawRow(row)...)
-				}
-				req = stageReq{Kind: "pca", Components: flat, PCAMean: r.Mean, K: k, D: d}
-			}
-		default:
-			err = fmt.Errorf("dist: unsupported pipeline stage %q", stage.Algo)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dist: pipeline stage %d: %w", i, err)
-		}
-		resps, err := broadcast[stageResp](ctx, c, "stage", &req)
-		if err != nil {
-			return nil, fmt.Errorf("dist: pipeline stage %d: %w", i, err)
-		}
-		c.curCols = resps[0].OutCols
-		p.Stages = append(p.Stages, inner)
-	}
-
-	// Multi-epoch finals re-scan the transformed data every
-	// iteration; materialize the shard caches once, like the local
-	// pipeline's single fused materialization pass. Bounded-pass
-	// finals (bayes, exact linear, pca) stream off the fused views.
-	if len(spec.Stages) > 0 && multiEpoch(spec.Final.Algo) {
-		resps, err := broadcast[materializeResp](ctx, c, "materialize", &materializeReq{})
-		if err != nil {
+	bodies := make([][]byte, len(shards))
+	for i, sh := range shards {
+		c.active[i].lo, c.active[i].hi = sh.Lo, sh.Hi
+		if bodies[i], err = encodeBody(&openReq{Path: path, Lo: sh.Lo, Hi: sh.Hi, GroupRows: c.groupRows}); err != nil {
 			return nil, err
 		}
-		for _, r := range resps {
-			c.stall += r.Stall
-		}
 	}
-	final, err := c.fitSpec(ctx, *spec.Final)
-	if err != nil {
+	if _, err := c.broadcast(ctx, "open", bodies); err != nil {
 		return nil, err
 	}
-	p.Stages = append(p.Stages, final)
-	return p, nil
-}
-
-// multiEpoch reports whether an algorithm re-scans the data across
-// iterations — the complement of the root package's streamingFit
-// markers.
-func multiEpoch(algo string) bool {
-	switch algo {
-	case "bayes", "linear-exact", "pca", "standard-scaler", "minmax-scaler":
-		return false
+	if _, err := c.broadcastAll(ctx, "reset", struct{}{}); err != nil {
+		return nil, err
 	}
-	return true
+	return &core.Dataset{Path: path, Shards: c}, nil
 }
 
-// distPlane is the sharded kmeans.DataPlane: assignment and seeding
-// passes are broadcast rounds whose group partials refold in global
-// order; the sequential k-means++ prefix walk chains shard to shard
-// carrying the running accumulator; row fetches route to the owning
-// shard.
-type distPlane struct {
-	c *Coordinator
-}
+// Dims implements exec.Plane.
+func (c *Coordinator) Dims() (int, int) { return c.rows, c.cols }
 
-// Dims implements kmeans.DataPlane.
-func (p *distPlane) Dims() (int, int) { return p.c.rows, p.c.curCols }
-
-// AssignPass implements kmeans.DataPlane.
-func (p *distPlane) AssignPass(ctx context.Context, centroids []float64, k int) (*kmeans.AssignPartial, float64, error) {
-	resps, err := broadcast[assignResp](ctx, p.c, "kmeans/assign", &assignReq{Centroids: centroids, K: k})
+// Reduce implements exec.Plane: one broadcast round runs the pass on
+// every shard, and the shipped group states fold into a fresh zero in
+// shard-then-group order — the fold a local scan performs.
+func (c *Coordinator) Reduce(ctx context.Context, j exec.Job) (any, float64, error) {
+	resps, err := c.broadcastAll(ctx, "reduce", &reduceReq{Pass: j.Pass()})
 	if err != nil {
 		return nil, 0, err
 	}
-	total := kmeans.NewAssignPartial(k, p.c.curCols)
+	total := j.Zero()
 	var stall float64
-	for _, r := range resps {
+	for i, r := range resps {
 		stall += r.Stall
-		for _, g := range r.Groups {
-			kmeans.MergeAssign(total, g.State)
+		w := c.active[i]
+		n, err := j.Refold(total, func(v any) error { return decodeBody(r.Body, v) })
+		if err != nil {
+			return nil, 0, fmt.Errorf("dist: worker %s: %w", w.addr, err)
+		}
+		if want := (w.hi - w.lo + c.groupRows - 1) / c.groupRows; n != want {
+			return nil, 0, fmt.Errorf("dist: worker %s: %d merge groups, want %d", w.addr, n, want)
 		}
 	}
 	return total, stall, nil
 }
 
-// SeedPass implements kmeans.DataPlane. The mass folds from zero in
-// global group order — the same fold the local plane's reduction
-// performs.
-func (p *distPlane) SeedPass(ctx context.Context, prev []float64) (float64, float64, error) {
-	resps, err := broadcast[seedResp](ctx, p.c, "kmeans/seed", &seedReq{Prev: prev})
-	if err != nil {
-		return 0, 0, err
-	}
-	var mass, stall float64
-	for _, r := range resps {
-		stall += r.Stall
-		for _, g := range r.Groups {
-			mass += g.Mass
-		}
-	}
-	return mass, stall, nil
-}
-
-// SamplePrefix implements kmeans.DataPlane: shards are walked in
-// order, each resuming the running prefix sum where the previous
-// left off — the distributed transcription of the flat sequential
-// walk (same additions, same comparisons).
-func (p *distPlane) SamplePrefix(ctx context.Context, target float64) (int, error) {
+// Sample implements exec.Plane: shards are walked in order, each
+// resuming the running prefix sum where the previous left off — the
+// flat sequential walk's additions and comparisons, exactly.
+func (c *Coordinator) Sample(ctx context.Context, key string, target float64) (int, error) {
 	acc := 0.0
-	for _, w := range p.c.active {
-		body, err := encodeBody(&sampleReq{Acc: acc, Target: target})
+	for _, w := range c.active {
+		resp, err := c.callWith(ctx, w, "sample", &sampleReq{Key: key, Acc: acc, Target: target})
 		if err != nil {
 			return 0, err
 		}
-		var resp sampleResp
-		if err := p.c.call(ctx, w, "kmeans/sample", body, &resp); err != nil {
+		var s sampleResp
+		if err := decodeBody(resp.Body, &s); err != nil {
 			return 0, err
 		}
-		if resp.Found {
-			return w.lo + resp.Idx, nil
+		if s.Found {
+			return w.lo + s.Idx, nil
 		}
-		acc = resp.Acc
+		acc = s.Acc
 	}
 	// Mass fell short of target (floating-point shortfall): the local
 	// walk falls back to the last row.
-	return p.c.rows - 1, nil
+	return c.rows - 1, nil
 }
 
-// FetchRow implements kmeans.DataPlane, routing to the owning shard.
-func (p *distPlane) FetchRow(ctx context.Context, i int, dst []float64) (float64, error) {
-	for _, w := range p.c.active {
-		if i >= w.lo && i < w.hi {
-			body, err := encodeBody(&rowReq{I: i - w.lo})
-			if err != nil {
-				return 0, err
-			}
-			var resp rowResp
-			if err := p.c.call(ctx, w, "row", body, &resp); err != nil {
-				return 0, err
-			}
-			copy(dst, resp.Row)
-			return resp.Stall, nil
+// Row implements exec.Plane, routing to the owning shard.
+func (c *Coordinator) Row(ctx context.Context, i int, dst []float64) (float64, error) {
+	for _, w := range c.active {
+		if i < w.lo || i >= w.hi {
+			continue
 		}
+		resp, err := c.callWith(ctx, w, "row", &rowReq{I: i - w.lo})
+		if err != nil {
+			return 0, err
+		}
+		var row []float64
+		if err := decodeBody(resp.Body, &row); err != nil {
+			return 0, err
+		}
+		if len(row) != len(dst) {
+			return 0, fmt.Errorf("dist: worker %s: row of %d values, want %d", w.addr, len(row), len(dst))
+		}
+		copy(dst, row)
+		return resp.Stall, nil
 	}
 	return 0, fmt.Errorf("dist: row %d outside every shard", i)
 }
 
-// GatherAssignments implements kmeans.DataPlane, concatenating shard
-// assignments in shard order.
-func (p *distPlane) GatherAssignments(ctx context.Context) ([]int, error) {
-	resps, err := broadcast[gatherResp](ctx, p.c, "kmeans/gather", &gatherReq{})
+// Gather implements exec.Plane, concatenating shards in order.
+func (c *Coordinator) Gather(ctx context.Context, key string) ([]int, error) {
+	resps, err := c.broadcastAll(ctx, "gather", &gatherReq{Key: key})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, p.c.rows)
-	for _, r := range resps {
-		out = append(out, r.Assignments...)
+	out := make([]int, 0, c.rows)
+	for i, r := range resps {
+		var part []int
+		if err := decodeBody(r.Body, &part); err != nil {
+			return nil, err
+		}
+		if w := c.active[i]; len(part) != w.hi-w.lo {
+			return nil, fmt.Errorf("dist: worker %s: %d values for %d rows", w.addr, len(part), w.hi-w.lo)
+		}
+		out = append(out, part...)
 	}
 	return out, nil
+}
+
+// Push implements core.Shards: every worker appends the stage to its
+// fused view, so later passes scan transformed rows.
+func (c *Coordinator) Push(ctx context.Context, st core.Stage) error {
+	if _, err := c.broadcastAll(ctx, "stage", &stageReq{Stage: st}); err != nil {
+		return err
+	}
+	c.cols = st.OutCols()
+	return nil
+}
+
+// Materialize implements core.Shards: every worker streams its fused
+// view once into engine scratch, so multi-epoch trainers re-scan a
+// cache instead of re-running the stage chain.
+func (c *Coordinator) Materialize(ctx context.Context) error {
+	_, err := c.broadcastAll(ctx, "materialize", struct{}{})
+	return err
 }

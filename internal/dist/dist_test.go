@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -18,14 +19,20 @@ import (
 	"m3/internal/ml/kmeans"
 	"m3/internal/ml/linreg"
 	"m3/internal/ml/logreg"
-	"m3/internal/ml/modelio"
 	"m3/internal/ml/pca"
 	"m3/internal/ml/preprocess"
 )
 
+// The root package registers its fitted stages for the wire; these
+// tests push the inner scalers directly.
+func init() {
+	gob.Register(&preprocess.StandardScaler{})
+	gob.Register(&preprocess.MinMaxScaler{})
+}
+
 // writeTestData writes a deterministic labelled dataset file and
 // returns its path.
-func writeTestData(t *testing.T, n, d, classes int) string {
+func writeTestData(t testing.TB, n, d, classes int) string {
 	t.Helper()
 	path := t.TempDir() + "/data.m3"
 	w, err := dataset.Create(path, int64(n), int64(d), true)
@@ -67,18 +74,20 @@ func openLocal(t *testing.T, path string) (*mat.Dense, []float64) {
 	return tab.X, tab.Labels
 }
 
-// startCluster launches k in-process workers on ephemeral ports and
-// returns a coordinator dialed to all of them.
-func startCluster(t *testing.T, k int, cfg WorkerConfig) *Coordinator {
+// startWorkers launches k in-process workers on ephemeral ports and
+// returns them with their addresses.
+func startWorkers(t *testing.T, k int, cfg WorkerConfig) ([]*Worker, []string) {
 	t.Helper()
+	workers := make([]*Worker, k)
 	addrs := make([]string, k)
-	for i := 0; i < k; i++ {
+	for i := range workers {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = ln.Addr().String()
 		w := NewWorker(cfg)
+		workers[i] = w
 		go w.Serve(ln)
 		t.Cleanup(func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -86,12 +95,30 @@ func startCluster(t *testing.T, k int, cfg WorkerConfig) *Coordinator {
 			w.Shutdown(ctx)
 		})
 	}
+	return workers, addrs
+}
+
+// startCluster launches k in-process workers and returns a
+// coordinator dialed to all of them.
+func startCluster(t *testing.T, k int, cfg WorkerConfig) *Coordinator {
+	t.Helper()
+	_, addrs := startWorkers(t, k, cfg)
 	c, err := DialWorkers(context.Background(), addrs, Options{CallTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// openSharded opens path on the cluster as a sharded dataset.
+func openSharded(t *testing.T, c *Coordinator, path string) *core.Dataset {
+	t.Helper()
+	ds, err := c.Open(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }
 
 // eqFloats asserts bit-exact equality of two float slices.
@@ -106,6 +133,12 @@ func eqFloats(t *testing.T, name string, got, want []float64) {
 				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
+}
+
+// eqBits asserts bit-exact equality of two floats.
+func eqBits(t *testing.T, name string, got, want float64) {
+	t.Helper()
+	eqFloats(t, name, []float64{got}, []float64{want})
 }
 
 func TestPlanShardsAlignment(t *testing.T) {
@@ -145,8 +178,7 @@ func TestPlanShardsAlignment(t *testing.T) {
 func TestLogisticParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
 	x, labels := openLocal(t, path)
-	y := preprocess.BinaryLabels(labels, 3)
-	want, err := logreg.Train(context.Background(), x, y, logreg.Options{MaxIterations: 8})
+	want, err := logreg.Train(context.Background(), x, preprocess.BinaryLabels(labels, 3), logreg.Options{MaxIterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +186,14 @@ func TestLogisticParity(t *testing.T) {
 	for _, mode := range []core.Mode{core.InMemory, core.MemoryMapped} {
 		t.Run(mode.String(), func(t *testing.T) {
 			c := startCluster(t, 3, WorkerConfig{Mode: mode, Workers: 3})
-			got, err := c.Fit(context.Background(), path, Spec{
-				Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 8,
-			})
+			ds := openSharded(t, c, path)
+			m, err := logreg.TrainPlane(context.Background(), ds.Plane(0),
+				preprocess.BinaryRule{Binarize: true, Positive: 3}, logreg.Options{MaxIterations: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := got.(*logreg.Model)
 			eqFloats(t, "weights", m.Weights, want.Weights)
-			if math.Float64bits(m.Intercept) != math.Float64bits(want.Intercept) {
-				t.Fatalf("intercept %v, want %v", m.Intercept, want.Intercept)
-			}
+			eqBits(t, "intercept", m.Intercept, want.Intercept)
 			if c.Shards() != 3 {
 				t.Fatalf("active shards = %d, want 3", c.Shards())
 			}
@@ -187,11 +216,10 @@ func TestSoftmaxParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{Algo: "softmax", Classes: 4, MaxIterations: 6})
+	m, err := logreg.TrainSoftmaxPlane(context.Background(), openSharded(t, c, path).Plane(0), 4, logreg.Options{MaxIterations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := got.(*logreg.SoftmaxModel)
 	eqFloats(t, "weights", m.Weights, want.Weights)
 	eqFloats(t, "bias", m.Bias, want.Bias)
 }
@@ -201,36 +229,28 @@ func TestLinearParity(t *testing.T) {
 	x, labels := openLocal(t, path)
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
 
-	t.Run("lbfgs", func(t *testing.T) {
-		want, err := linreg.Train(context.Background(), x, labels, linreg.Options{MaxIterations: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Fit(context.Background(), path, Spec{Algo: "linear", MaxIterations: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := got.(*linreg.Model)
-		eqFloats(t, "weights", m.Weights, want.Weights)
-		if math.Float64bits(m.Intercept) != math.Float64bits(want.Intercept) {
-			t.Fatalf("intercept %v, want %v", m.Intercept, want.Intercept)
-		}
-	})
-	t.Run("exact", func(t *testing.T) {
-		want, err := linreg.TrainExact(context.Background(), x, labels, linreg.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Fit(context.Background(), path, Spec{Algo: "linear-exact"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := got.(*linreg.Model)
-		eqFloats(t, "weights", m.Weights, want.Weights)
-		if math.Float64bits(m.Intercept) != math.Float64bits(want.Intercept) {
-			t.Fatalf("intercept %v, want %v", m.Intercept, want.Intercept)
-		}
-	})
+	for _, tc := range []struct {
+		name   string
+		local  func(context.Context, *mat.Dense, []float64, linreg.Options) (*linreg.Model, error)
+		remote func(context.Context, exec.Plane, linreg.Options) (*linreg.Model, error)
+		opts   linreg.Options
+	}{
+		{"lbfgs", linreg.Train, linreg.TrainPlane, linreg.Options{MaxIterations: 8}},
+		{"exact", linreg.TrainExact, linreg.TrainExactPlane, linreg.Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := tc.local(context.Background(), x, labels, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := tc.remote(context.Background(), openSharded(t, c, path).Plane(0), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eqFloats(t, "weights", m.Weights, want.Weights)
+			eqBits(t, "intercept", m.Intercept, want.Intercept)
+		})
+	}
 }
 
 func TestBayesParity(t *testing.T) {
@@ -245,11 +265,10 @@ func TestBayesParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := startCluster(t, 4, WorkerConfig{Mode: core.MemoryMapped, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{Algo: "bayes", Classes: 5})
+	m, err := bayes.TrainPlane(context.Background(), openSharded(t, c, path).Plane(0), 5, bayes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := got.(*bayes.Model)
 	eqFloats(t, "priors", m.LogPrior, want.LogPrior)
 	eqFloats(t, "means", m.Mean, want.Mean)
 	eqFloats(t, "variances", m.Var, want.Var)
@@ -258,16 +277,16 @@ func TestBayesParity(t *testing.T) {
 func TestPCAParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 3)
 	x, _ := openLocal(t, path)
-	want, err := pca.Fit(context.Background(), x, pca.Options{Components: 3, Seed: 11})
+	opts := pca.Options{Components: 3, Seed: 11}
+	want, err := pca.Fit(context.Background(), x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{Algo: "pca", Components: 3, Seed: 11})
+	r, err := pca.FitPlane(context.Background(), openSharded(t, c, path).Plane(0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := got.(*pca.Result)
 	eqFloats(t, "mean", r.Mean, want.Mean)
 	eqFloats(t, "eigenvalues", r.Eigenvalues, want.Eigenvalues)
 	for i := 0; i < 3; i++ {
@@ -281,18 +300,9 @@ func TestKMeansParity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts kmeans.Options
-		spec Spec
 	}{
-		{
-			name: "kmeanspp",
-			opts: kmeans.Options{K: 4, MaxIterations: 10, Seed: 7},
-			spec: Spec{Algo: "kmeans", K: 4, MaxIterations: 10, Seed: 7},
-		},
-		{
-			name: "random-init",
-			opts: kmeans.Options{K: 3, MaxIterations: 10, Seed: 3, RandomInit: true},
-			spec: Spec{Algo: "kmeans", K: 3, MaxIterations: 10, Seed: 3, RandomInit: true},
-		},
+		{"kmeanspp", kmeans.Options{K: 4, MaxIterations: 10, Seed: 7}},
+		{"random-init", kmeans.Options{K: 3, MaxIterations: 10, Seed: 3, RandomInit: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := kmeans.Run(context.Background(), x, tc.opts)
@@ -300,14 +310,11 @@ func TestKMeansParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := startCluster(t, 3, WorkerConfig{Mode: core.MemoryMapped, Workers: 2})
-			got, err := c.Fit(context.Background(), path, tc.spec)
+			r, err := kmeans.RunPlane(context.Background(), openSharded(t, c, path).Plane(0), tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := got.(*kmeans.Result)
-			if math.Float64bits(r.Inertia) != math.Float64bits(want.Inertia) {
-				t.Fatalf("inertia %v, want %v", r.Inertia, want.Inertia)
-			}
+			eqBits(t, "inertia", r.Inertia, want.Inertia)
 			if r.Iterations != want.Iterations || r.Converged != want.Converged {
 				t.Fatalf("iters/converged = %d/%v, want %d/%v", r.Iterations, r.Converged, want.Iterations, want.Converged)
 			}
@@ -327,8 +334,27 @@ func TestKMeansParity(t *testing.T) {
 	}
 }
 
+// fitScaledShards fits a standard scaler on the cluster and pushes it
+// to the workers, returning it with the fused sharded dataset.
+func fitScaledShards(t *testing.T, c *Coordinator, path string) (*preprocess.StandardScaler, *core.Dataset) {
+	t.Helper()
+	ds := openSharded(t, c, path)
+	scaler, err := preprocess.FitStandardPlane(context.Background(), ds.Plane(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := core.FusedDataset(context.Background(), ds, []core.Stage{scaler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fused.Fused() {
+		t.Fatal("pushed stage did not mark the sharded dataset fused")
+	}
+	return scaler, fused
+}
+
 // TestScalerPipelineParity checks the streaming pipeline path: a
-// standard scaler fitted distributively, pushed as a fused stage, and
+// standard scaler fitted on the shards, pushed as a fused stage, and
 // a naive Bayes final trained off the fused shard views — against the
 // identical local fused composition.
 func TestScalerPipelineParity(t *testing.T) {
@@ -342,68 +368,65 @@ func TestScalerPipelineParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := mat.NewFused(x, x.Cols(), core.FuseKernels([]core.BlockTransformer{scalerStage{s: scaler}}))
+	fused := mat.NewFused(x, x.Cols(), core.FuseKernels([]core.Stage{scaler}))
 	want, err := bayes.Train(context.Background(), fused, y, 4, bayes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{
-		Algo:   "pipeline",
-		Stages: []Spec{{Algo: "standard-scaler"}},
-		Final:  &Spec{Algo: "bayes", Classes: 4},
-	})
+	sc, ds := fitScaledShards(t, c, path)
+	eqFloats(t, "scaler mean", sc.Mean, scaler.Mean)
+	eqFloats(t, "scaler std", sc.Std, scaler.Std)
+	m, err := bayes.TrainPlane(context.Background(), ds.Plane(0), 4, bayes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := got.(*modelio.Pipeline)
-	if len(p.Stages) != 2 {
-		t.Fatalf("%d pipeline stages, want 2", len(p.Stages))
-	}
-	sc := p.Stages[0].(*preprocess.StandardScaler)
-	eqFloats(t, "scaler mean", sc.Mean, scaler.Mean)
-	eqFloats(t, "scaler std", sc.Std, scaler.Std)
-	final := p.Stages[1].(*bayes.Model)
-	eqFloats(t, "priors", final.LogPrior, want.LogPrior)
-	eqFloats(t, "means", final.Mean, want.Mean)
-	eqFloats(t, "variances", final.Var, want.Var)
+	eqFloats(t, "priors", m.LogPrior, want.LogPrior)
+	eqFloats(t, "means", m.Mean, want.Mean)
+	eqFloats(t, "variances", m.Var, want.Var)
 }
 
 // TestMaterializedPipelineParity checks the multi-epoch pipeline path:
-// the coordinator must order a shard-local materialize before a
-// logistic final so every optimizer pass reads a cached shard instead
-// of re-running the fused transform — and the result must still match
-// the local pipeline, which materializes the same way.
+// the workers cache their fused shards once, so every optimizer pass
+// reads a cache instead of re-running the transform — and the result
+// still matches the local fused composition.
 func TestMaterializedPipelineParity(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
 	x, labels := openLocal(t, path)
-	y := preprocess.BinaryLabels(labels, 2)
 	scaler, err := preprocess.FitStandard(context.Background(), x, preprocess.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := mat.NewFused(x, x.Cols(), core.FuseKernels([]core.BlockTransformer{scalerStage{s: scaler}}))
-	want, err := logreg.Train(context.Background(), fused, y, logreg.Options{MaxIterations: 8})
+	fused := mat.NewFused(x, x.Cols(), core.FuseKernels([]core.Stage{scaler}))
+	want, err := logreg.Train(context.Background(), fused, preprocess.BinaryLabels(labels, 2), logreg.Options{MaxIterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c := startCluster(t, 3, WorkerConfig{Mode: core.MemoryMapped, Workers: 2})
-	got, err := c.Fit(context.Background(), path, Spec{
-		Algo:   "pipeline",
-		Stages: []Spec{{Algo: "standard-scaler"}},
-		Final:  &Spec{Algo: "logistic", Binarize: true, Positive: 2, MaxIterations: 8},
-	})
+	_, ds := fitScaledShards(t, c, path)
+	cache, err := core.Materialize(context.Background(), ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := got.(*modelio.Pipeline)
-	m := p.Stages[len(p.Stages)-1].(*logreg.Model)
-	eqFloats(t, "weights", m.Weights, want.Weights)
-	if math.Float64bits(m.Intercept) != math.Float64bits(want.Intercept) {
-		t.Fatalf("intercept %v, want %v", m.Intercept, want.Intercept)
+	if cache.Fused() {
+		t.Fatal("materialized sharded dataset still reports fused views")
 	}
+	m, err := logreg.TrainPlane(context.Background(), cache.Plane(0),
+		preprocess.BinaryRule{Binarize: true, Positive: 2}, logreg.Options{MaxIterations: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqFloats(t, "weights", m.Weights, want.Weights)
+	eqBits(t, "intercept", m.Intercept, want.Intercept)
+}
+
+// endlessLogistic is a logistic fit that runs until it fails.
+func endlessLogistic(ctx context.Context, pl exec.Plane) error {
+	_, err := logreg.TrainPlane(ctx, pl, preprocess.BinaryRule{Binarize: true, Positive: 3},
+		logreg.Options{MaxIterations: 100000, GradTol: 1e-300})
+	return err
 }
 
 // TestWorkerDiesMidFit kills one worker's connections mid-optimization
@@ -411,29 +434,13 @@ func TestMaterializedPipelineParity(t *testing.T) {
 // instead of hanging.
 func TestWorkerDiesMidFit(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
-	addrs := make([]string, 3)
-	workers := make([]*Worker, 3)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		workers[i] = NewWorker(WorkerConfig{Mode: core.InMemory, Workers: 2})
-		go workers[i].Serve(ln)
-	}
-	defer func() {
-		for _, w := range workers {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			w.Shutdown(ctx)
-			cancel()
-		}
-	}()
+	workers, addrs := startWorkers(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
 	c, err := DialWorkers(context.Background(), addrs, Options{CallTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	ds := openSharded(t, c, path)
 
 	// Kill worker 1 once the fit is demonstrably mid-optimization.
 	go func() {
@@ -444,9 +451,7 @@ func TestWorkerDiesMidFit(t *testing.T) {
 		cancel() // force: close live connections instead of draining
 		workers[1].Shutdown(ctx)
 	}()
-	_, err = c.Fit(context.Background(), path, Spec{
-		Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 100000, GradTol: 1e-300,
-	})
+	err = endlessLogistic(context.Background(), ds.Plane(0))
 	if err == nil {
 		t.Fatal("fit succeeded despite a dead worker")
 	}
@@ -460,6 +465,7 @@ func TestWorkerDiesMidFit(t *testing.T) {
 func TestCancelMidFit(t *testing.T) {
 	path := writeTestData(t, 1100, 6, 10)
 	c := startCluster(t, 3, WorkerConfig{Mode: core.InMemory, Workers: 2})
+	ds := openSharded(t, c, path)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		// Cancel once the fit is demonstrably mid-optimization.
@@ -469,25 +475,11 @@ func TestCancelMidFit(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := c.Fit(ctx, path, Spec{
-		Algo: "logistic", Binarize: true, Positive: 3, MaxIterations: 100000, GradTol: 1e-300,
-	})
-	if !errors.Is(err, context.Canceled) {
+	if err := endlessLogistic(ctx, ds.Plane(0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("cancellation took %v", took)
-	}
-}
-
-// TestSGDRejected checks the sequential trainer is refused with a
-// useful message.
-func TestSGDRejected(t *testing.T) {
-	path := writeTestData(t, 600, 4, 2)
-	c := startCluster(t, 2, WorkerConfig{Mode: core.InMemory, Workers: 1})
-	_, err := c.Fit(context.Background(), path, Spec{Algo: "sgd"})
-	if err == nil || !strings.Contains(err.Error(), "sequential") {
-		t.Fatalf("err = %v, want sequential-trainer rejection", err)
 	}
 }
 
@@ -496,20 +488,19 @@ func TestSGDRejected(t *testing.T) {
 func TestMoreWorkersThanGroups(t *testing.T) {
 	path := writeTestData(t, 300, 4, 2) // 2 groups of 256
 	x, labels := openLocal(t, path)
-	y := preprocess.BinaryLabels(labels, 1)
-	want, err := logreg.Train(context.Background(), x, y, logreg.Options{MaxIterations: 5})
+	opts := logreg.Options{MaxIterations: 5}
+	want, err := logreg.Train(context.Background(), x, preprocess.BinaryLabels(labels, 1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := startCluster(t, 4, WorkerConfig{Mode: core.InMemory, Workers: 1})
-	got, err := c.Fit(context.Background(), path, Spec{
-		Algo: "logistic", Binarize: true, Positive: 1, MaxIterations: 5,
-	})
+	m, err := logreg.TrainPlane(context.Background(), openSharded(t, c, path).Plane(0),
+		preprocess.BinaryRule{Binarize: true, Positive: 1}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Shards() != 2 {
 		t.Fatalf("shards = %d, want 2", c.Shards())
 	}
-	eqFloats(t, "weights", got.(*logreg.Model).Weights, want.Weights)
+	eqFloats(t, "weights", m.Weights, want.Weights)
 }

@@ -1,17 +1,22 @@
 // Package dist implements M3's row-sharded training cluster: K
 // workers each own one contiguous, merge-group-aligned row range of a
-// dataset file and an engine to scan it; a coordinator broadcasts
-// per-iteration state (optimizer parameters, centroids, fitted stage
-// statistics) and refolds the per-group partials the workers ship.
+// dataset file and an engine to scan it; a coordinator opens the file
+// as a sharded core.Dataset whose plane runs every trainer's
+// shardable passes (exec.Pass) on the workers.
 //
-// Because shard boundaries sit on the canonical merge-group grid
-// (exec.GroupRows of the global row count) and every worker scan
-// overrides its group height to that global value, the coordinator's
-// refold performs exactly the floating-point operations a local
-// single-machine fit performs, in exactly the same order. A K-shard
-// fit is therefore bit-identical to a 1-worker local fit — same
-// predictions, same saved model bytes — for every shardable
-// estimator.
+// A pass is a gob-registered value holding a trainer's broadcast state
+// (parameters, centroids, class count, label rule). The coordinator
+// broadcasts it; each worker binds it to its shard, scans the shard
+// with exec.ReduceRowGroups and ships the merge-group states; the
+// coordinator folds them with the pass's own Merge in worker-then-group
+// order. Because shard boundaries sit on the canonical merge-group
+// grid (exec.GroupRows of the global row count) and every worker scan
+// uses that global group height, this refold performs exactly the
+// floating-point operations a local fit performs, in the same order:
+// a K-shard fit is bit-identical to a local one — same predictions,
+// same saved model bytes — for every shardable estimator. Nothing here
+// names an algorithm; the worker serves only transport ops (stat,
+// open, reset, stage, materialize, reduce, sample, row, gather).
 //
 // The transport is deliberately small: length-prefixed gob frames
 // over TCP, one connection per worker, strictly serial
@@ -29,16 +34,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"syscall"
 	"time"
 
-	"m3/internal/exec"
-	"m3/internal/ml/bayes"
-	"m3/internal/ml/kmeans"
-	"m3/internal/ml/linreg"
-	"m3/internal/ml/logreg"
-	"m3/internal/ml/pca"
-	"m3/internal/ml/preprocess"
+	"m3/internal/core"
 )
 
 // maxFrameBytes bounds a single wire frame; anything larger is a
@@ -55,11 +55,13 @@ type request struct {
 }
 
 // response is the worker→coordinator envelope. A non-empty Err
-// carries the worker-side error; Body is then empty.
+// carries the worker-side error; Body is then empty. Stall is the
+// simulated paging stall the op spent.
 type response struct {
-	Seq  uint64
-	Err  string
-	Body []byte
+	Seq   uint64
+	Err   string
+	Body  []byte
+	Stall float64
 }
 
 // encodeBody gobs an op payload into envelope bytes.
@@ -97,6 +99,12 @@ func writeFrame(w io.Writer, v any) (int, error) {
 	return 4 + n, err
 }
 
+// frameChunk bounds how far readFrame allocates ahead of the bytes
+// that have arrived: a header promising a huge frame costs nothing
+// until the frame does, while the usual frames (model state, group
+// partials) still land in one exact buffer.
+const frameChunk = 256 << 10
+
 // readFrame reads one length-prefixed gob frame into v, returning the
 // bytes consumed.
 func readFrame(r io.Reader, v any) (int, error) {
@@ -104,18 +112,27 @@ func readFrame(r io.Reader, v any) (int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrameBytes {
 		return 4, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 4, err
+	payload := make([]byte, 0, min(n, frameChunk))
+	for len(payload) < n {
+		k := min(n-len(payload), frameChunk)
+		payload = slices.Grow(payload, k)
+		got, err := io.ReadFull(r, payload[len(payload):len(payload)+k])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 4 + len(payload), err
+		}
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return 4 + int(n), fmt.Errorf("dist: decode frame: %w", err)
+		return 4 + n, fmt.Errorf("dist: decode frame: %w", err)
 	}
-	return 4 + int(n), nil
+	return 4 + n, nil
 }
 
 // dialRetry dials addr, retrying transient failures (refused
@@ -158,19 +175,14 @@ func transientDialError(err error) bool {
 
 // --- Op payloads ------------------------------------------------------
 //
-// Every type below crosses the wire via gob. Fields are value types
-// or slices of them; partial types imported from the ml packages
-// export exactly their aggregate fields (scratch buffers are
-// unexported and stay worker-side).
+// Every type below crosses the wire via gob. Passes and stages travel
+// as interface values, so their concrete types must be gob-registered
+// (exec.RegisterPass; the root package registers its fitted stages).
 
-// statReq asks a worker to report a dataset file's shape without
-// holding it open.
+// statReq asks a worker for a dataset file's shape.
 type statReq struct{ Path string }
 
-type statResp struct {
-	Rows, Cols int
-	HasLabels  bool
-}
+type statResp struct{ Rows, Cols int }
 
 // openReq assigns the worker its shard: rows [Lo, Hi) of Path, with
 // every scan folding at the coordinator's global group height.
@@ -180,162 +192,18 @@ type openReq struct {
 	GroupRows int
 }
 
-type openResp struct {
-	Rows, Cols int
-	HasLabels  bool
-}
+// stageReq appends one fitted stage to the worker's fused view.
+type stageReq struct{ Stage core.Stage }
 
-// resetReq clears per-fit state (transform chain, caches, label
-// views, k-means scratch) while keeping the shard open.
-type resetReq struct{}
+// reduceReq runs one pass over the shard; the reply body is the
+// pass's merge-group states ([]S) in row order.
+type reduceReq struct{ Pass any }
 
-type resetResp struct{}
-
-// stageReq appends one fitted transformer stage to the worker's fused
-// view. Exactly one of the stage groups is populated, per Kind.
-type stageReq struct {
-	// Kind is "standard", "minmax" or "pca".
-	Kind string
-	// Mean/Std parameterize a standard scaler.
-	Mean, Std []float64
-	// Min/Range parameterize a min-max scaler.
-	Min, Range []float64
-	// Components (K×D row-major), PCAMean, K and D parameterize a
-	// PCA projection.
-	Components []float64
-	PCAMean    []float64
-	K, D       int
-}
-
-type stageResp struct{ OutCols int }
-
-// materializeReq streams the worker's fused view once into engine
-// scratch, so multi-epoch finals re-scan the transformed shard
-// instead of re-running the chain every iteration — the distributed
-// mirror of the pipeline's single cache materialization.
-type materializeReq struct{}
-
-type materializeResp struct{ Stall float64 }
-
-// gradReq is one binary-logistic objective evaluation at Params.
-type gradReq struct {
-	Params    []float64
-	Intercept bool
-	Binarize  bool
-	Positive  float64
-}
-
-type gradResp struct {
-	Groups []exec.GroupPartial[*logreg.GradPartial]
-	Stall  float64
-}
-
-// softmaxReq is one multiclass objective evaluation at Params.
-type softmaxReq struct {
-	Params    []float64
-	Classes   int
-	Intercept bool
-}
-
-type softmaxResp struct {
-	Groups []exec.GroupPartial[*logreg.SoftmaxPartial]
-	Stall  float64
-}
-
-// lsqReq is one least-squares objective evaluation at Params.
-type lsqReq struct {
-	Params    []float64
-	Intercept bool
-}
-
-type lsqResp struct {
-	Groups []exec.GroupPartial[*linreg.LsqPartial]
-	Stall  float64
-}
-
-// gramReq is the exact path's single normal-equations scan.
-type gramReq struct{ NoIntercept bool }
-
-type gramResp struct {
-	Groups []exec.GroupPartial[*linreg.GramPartial]
-	Stall  float64
-}
-
-// bayesReq is the naive-Bayes counting scan.
-type bayesReq struct{ Classes int }
-
-type bayesResp struct {
-	Groups []exec.GroupPartial[*bayes.CountPartial]
-	Stall  float64
-}
-
-// momentsReq is the standard-scaler Welford scan.
-type momentsReq struct{}
-
-type momentsResp struct {
-	Groups []exec.GroupPartial[*preprocess.Moments]
-	Stall  float64
-}
-
-// extremaReq is the min-max scan.
-type extremaReq struct{}
-
-type extremaResp struct {
-	Groups []exec.GroupPartial[*preprocess.Extrema]
-	Stall  float64
-}
-
-// pcaMeanReq is the PCA column-sum pass.
-type pcaMeanReq struct{}
-
-type pcaMeanResp struct {
-	Groups []exec.GroupPartial[[]float64]
-	Stall  float64
-}
-
-// pcaCovReq is the PCA scatter pass at the global mean.
-type pcaCovReq struct{ Mean []float64 }
-
-type pcaCovResp struct {
-	Groups []exec.GroupPartial[*pca.CovPartial]
-	Stall  float64
-}
-
-// assignReq is one Lloyd assignment pass at Centroids (K×D
-// row-major).
-type assignReq struct {
-	Centroids []float64
-	K         int
-}
-
-type assignResp struct {
-	Groups []exec.GroupPartial[*kmeans.AssignPartial]
-	Stall  float64
-}
-
-// seedReq is one k-means++ distance-update pass against the
-// previously chosen centroid.
-type seedReq struct{ Prev []float64 }
-
-// massGroup is one merge group's k-means++ probability mass. The
-// local fold's state is *float64; shipping the scalar by value keeps
-// gob from eliding all-zero groups (it omits zero fields, which would
-// turn a zero-mass group into a nil pointer on decode).
-type massGroup struct {
-	Lo, Hi int
-	Mass   float64
-}
-
-type seedResp struct {
-	Groups []massGroup
-	Stall  float64
-}
-
-// sampleReq resumes the sequential k-means++ prefix-sum walk on this
-// shard with the running accumulator from the shards before it.
+// sampleReq resumes the prefix walk over the shard's scratch Key with
+// the running sum Acc carried from the shards before it.
 type sampleReq struct {
-	Acc    float64
-	Target float64
+	Key         string
+	Acc, Target float64
 }
 
 type sampleResp struct {
@@ -345,60 +213,9 @@ type sampleResp struct {
 	Acc float64
 }
 
-// rowReq fetches one transformed row (shard-local index) — centroid
-// initialization and empty-cluster repair.
+// rowReq fetches one row (shard-local index) of the current view; the
+// reply body is the row.
 type rowReq struct{ I int }
 
-type rowResp struct {
-	Row   []float64
-	Stall float64
-}
-
-// gatherReq collects the shard's final k-means assignments.
-type gatherReq struct{}
-
-type gatherResp struct{ Assignments []int }
-
-// Spec describes one fit the coordinator drives. It is a flat,
-// gob-friendly mirror of the public estimator configuration (function
-// fields like iteration callbacks cannot cross the wire). One Spec
-// describes either a single estimator or a pipeline (Stages +
-// Final).
-type Spec struct {
-	// Algo selects the program: "logistic", "softmax", "linear",
-	// "linear-exact", "bayes", "kmeans", "pca", "standard-scaler",
-	// "minmax-scaler" or "pipeline".
-	Algo string
-
-	// Logistic: derive 0/1 labels by comparing to Positive.
-	Binarize bool
-	Positive float64
-
-	// Softmax / bayes class count.
-	Classes int
-
-	// Shared optimizer surface (logistic, softmax, linear).
-	Lambda        float64
-	NoIntercept   bool
-	MaxIterations int
-	GradTol       float64
-
-	// Bayes.
-	VarSmoothing float64
-
-	// K-means.
-	K                int
-	Tol              float64
-	Seed             uint64
-	RandomInit       bool
-	RunAllIterations bool
-	// InitCentroids is K×D row-major when non-nil.
-	InitCentroids []float64
-
-	// PCA.
-	Components int
-
-	// Pipeline: transformer stages then the final estimator.
-	Stages []Spec
-	Final  *Spec
-}
+// gatherReq fetches the shard's []int scratch Key.
+type gatherReq struct{ Key string }

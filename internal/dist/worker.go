@@ -4,19 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 
 	"m3/internal/core"
+	"m3/internal/exec"
 	"m3/internal/mat"
-	"m3/internal/ml/bayes"
-	"m3/internal/ml/kmeans"
-	"m3/internal/ml/linreg"
-	"m3/internal/ml/logreg"
-	"m3/internal/ml/modelio"
-	"m3/internal/ml/pca"
-	"m3/internal/ml/preprocess"
 	"m3/internal/obs"
 )
 
@@ -35,20 +28,22 @@ type WorkerConfig struct {
 // Worker serves shard scans for one or more coordinators. Each
 // accepted connection gets its own engine and shard state, torn down
 // when the connection closes, so a dropped coordinator never leaks
-// mappings or scratch.
+// mappings or scratch. A worker runs any pass type registered in its
+// process (exec.RegisterPass), so it must link every trainer package
+// its coordinators use; cmd/m3worker links the whole m3 package.
 type Worker struct {
 	cfg WorkerConfig
 
 	mu       sync.Mutex
 	ln       net.Listener
-	conns    map[net.Conn]struct{}
+	conns    map[net.Conn]*session
 	draining bool
 	wg       sync.WaitGroup
 }
 
 // NewWorker returns a worker with the given storage configuration.
 func NewWorker(cfg WorkerConfig) *Worker {
-	return &Worker{cfg: cfg, conns: make(map[net.Conn]struct{})}
+	return &Worker{cfg: cfg, conns: make(map[net.Conn]*session)}
 }
 
 // Serve accepts coordinator connections on ln until Shutdown (or a
@@ -78,12 +73,13 @@ func (w *Worker) Serve(ln net.Listener) error {
 			conn.Close()
 			continue
 		}
-		w.conns[conn] = struct{}{}
+		s := &session{cfg: w.cfg}
+		w.conns[conn] = s
 		w.wg.Add(1)
 		w.mu.Unlock()
 		go func() {
 			defer w.wg.Done()
-			w.handleConn(conn)
+			w.handleConn(conn, s)
 			w.mu.Lock()
 			delete(w.conns, conn)
 			w.mu.Unlock()
@@ -124,19 +120,42 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 
 // handleConn serves one coordinator connection: strictly serial
 // request/response, with a per-connection session torn down on exit.
-func (w *Worker) handleConn(conn net.Conn) {
-	defer conn.Close()
-	s := &session{cfg: w.cfg}
+// A reader goroutine stays one frame ahead (safe, the coordinator
+// never pipelines) and cancels the session when the coordinator hangs
+// up, so an in-flight scan stops within one block instead of running
+// to the end of the shard.
+func (w *Worker) handleConn(conn net.Conn, s *session) {
 	defer s.close()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for {
-		var req request
-		if _, err := readFrame(conn, &req); err != nil {
-			return // EOF or dropped coordinator: tear down the session
+	reqs := make(chan request)
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		defer close(reqs)
+		defer cancel() // EOF or a dropped coordinator
+		for {
+			var req request
+			if _, err := readFrame(conn, &req); err != nil {
+				return
+			}
+			select {
+			case reqs <- req:
+			case <-ctx.Done():
+				return
+			}
 		}
+	}()
+	defer func() {
+		// Unblock the reader (parked on the socket or on reqs) and
+		// wait for it before the session is torn down.
+		cancel()
+		conn.Close()
+		<-read
+	}()
+	for req := range reqs {
 		workerOpsTotal.With(req.Op).Inc()
-		body, err := func() (b []byte, err error) {
+		resp := response{Seq: req.Seq}
+		body, stall, err := func() (b []byte, stall float64, err error) {
 			sp := obs.StartSpan("dist", "worker "+req.Op)
 			defer sp.End()
 			defer func() {
@@ -146,9 +165,10 @@ func (w *Worker) handleConn(conn net.Conn) {
 			}()
 			return s.handle(ctx, req.Op, req.Body)
 		}()
-		resp := response{Seq: req.Seq, Body: body}
 		if err != nil {
-			resp = response{Seq: req.Seq, Err: err.Error()}
+			resp.Err = err.Error()
+		} else {
+			resp.Body, resp.Stall = body, stall
 		}
 		if _, err := writeFrame(conn, &resp); err != nil {
 			return
@@ -156,37 +176,24 @@ func (w *Worker) handleConn(conn net.Conn) {
 	}
 }
 
+// stage is a fitted stage as it arrives off the wire: the fusion
+// kernel plus a self-check, run before the kernel ever sees a row.
+type stage interface {
+	core.Stage
+	Validate() error
+}
+
 // session is the per-connection shard state.
 type session struct {
 	cfg WorkerConfig
 
-	eng    *core.Engine
-	table  *core.Table
-	lo, hi int
-	// globalRows is the coordinator's full row count; groupRows its
-	// merge-group height, which every scan here must reuse.
-	globalRows int
-	groupRows  int
-
-	// base is the raw shard window; view is base with the fused
-	// transform chain applied (== base when the chain is empty) or
-	// the materialized cache.
-	base   *mat.Dense
-	view   *mat.Dense
-	labels []float64
-	chain  []core.BlockTransformer
-	cache  *core.Dataset
-
-	// Per-fit label views, computed on first use and invalidated by
-	// reset.
-	binLabels   []float64
-	binPositive float64
-	intLabels   []int
-	intClasses  int
-
-	// K-means per-fit scratch.
-	assignments []int
-	dist        []float64
+	eng *core.Engine
+	// base is the raw shard window; sh.X is base through the fused
+	// stage chain, or the materialized cache.
+	base  *mat.Dense
+	sh    *exec.Shard
+	chain []core.Stage
+	cache *core.Dataset
 }
 
 // close releases everything the session holds.
@@ -195,442 +202,181 @@ func (s *session) close() {
 		s.eng.Close()
 		s.eng = nil
 	}
-	s.table, s.base, s.view, s.cache = nil, nil, nil, nil
-	s.labels, s.chain = nil, nil
-	s.resetFitState()
+	s.base, s.sh, s.chain, s.cache = nil, nil, nil, nil
 }
 
-// resetFitState drops per-fit caches while keeping the shard open.
-func (s *session) resetFitState() {
-	s.binLabels, s.intLabels = nil, nil
-	s.binPositive, s.intClasses = 0, 0
-	s.assignments, s.dist = nil, nil
-}
-
-// scanWorkers resolves the pool size for shard scans.
-func (s *session) scanWorkers() int { return s.cfg.Workers }
-
-// handle dispatches one op.
-func (s *session) handle(ctx context.Context, op string, body []byte) ([]byte, error) {
-	switch op {
-	case "ping":
-		return encodeBody(&resetResp{})
-	case "stat":
-		var req statReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		return s.stat(req)
-	case "open":
-		var req openReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		return s.open(req)
-	}
-	if s.view == nil {
-		return nil, fmt.Errorf("dist: %s before open", op)
-	}
-	switch op {
-	case "reset":
-		s.dropChain()
-		s.resetFitState()
-		return encodeBody(&resetResp{})
-	case "stage":
-		var req stageReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		return s.pushStage(req)
-	case "materialize":
-		var req materializeReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		return s.materialize(ctx)
-	case "logreg/grad":
-		var req gradReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		y, err := s.binaryLabels(req.Binarize, req.Positive)
-		if err != nil {
-			return nil, err
-		}
-		groups, stall, err := logreg.GradGroups(ctx, s.view, y, req.Params, req.Intercept, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&gradResp{Groups: groups, Stall: stall})
-	case "softmax/grad":
-		var req softmaxReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		y, err := s.classLabels(req.Classes)
-		if err != nil {
-			return nil, err
-		}
-		groups, stall, err := logreg.SoftmaxGroups(ctx, s.view, y, req.Classes, req.Params, req.Intercept, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&softmaxResp{Groups: groups, Stall: stall})
-	case "linreg/lsq":
-		var req lsqReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.labels == nil {
-			return nil, errors.New("dist: dataset has no labels")
-		}
-		groups, stall, err := linreg.LsqGroups(ctx, s.view, s.labels, req.Params, req.Intercept, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&lsqResp{Groups: groups, Stall: stall})
-	case "linreg/gram":
-		var req gramReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.labels == nil {
-			return nil, errors.New("dist: dataset has no labels")
-		}
-		groups, stall, err := linreg.GramGroups(ctx, s.view, s.labels, req.NoIntercept, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&gramResp{Groups: groups, Stall: stall})
-	case "bayes/counts":
-		var req bayesReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		y, err := s.classLabels(req.Classes)
-		if err != nil {
-			return nil, err
-		}
-		groups, stall, err := bayes.CountGroups(ctx, s.view, y, req.Classes, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&bayesResp{Groups: groups, Stall: stall})
-	case "moments":
-		groups, stall, err := preprocess.MomentGroups(ctx, s.view, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&momentsResp{Groups: groups, Stall: stall})
-	case "extrema":
-		groups, stall, err := preprocess.ExtremaGroups(ctx, s.view, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&extremaResp{Groups: groups, Stall: stall})
-	case "pca/mean":
-		groups, stall, err := pca.MeanGroups(ctx, s.view, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&pcaMeanResp{Groups: groups, Stall: stall})
-	case "pca/cov":
-		var req pcaCovReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		groups, stall, err := pca.CovGroups(ctx, s.view, req.Mean, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&pcaCovResp{Groups: groups, Stall: stall})
-	case "kmeans/assign":
-		var req assignReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.assignments == nil {
-			s.assignments = make([]int, s.view.Rows())
-		}
-		groups, stall, err := kmeans.AssignGroups(ctx, s.view, s.assignments, req.Centroids, req.K, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		return encodeBody(&assignResp{Groups: groups, Stall: stall})
-	case "kmeans/seed":
-		var req seedReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.dist == nil {
-			s.dist = make([]float64, s.view.Rows())
-			for i := range s.dist {
-				s.dist[i] = math.Inf(1)
-			}
-		}
-		groups, stall, err := kmeans.SeedGroups(ctx, s.view, s.dist, req.Prev, s.scanWorkers(), s.groupRows)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]massGroup, len(groups))
-		for i, g := range groups {
-			out[i] = massGroup{Lo: g.Lo, Hi: g.Hi, Mass: *g.State}
-		}
-		return encodeBody(&seedResp{Groups: out, Stall: stall})
-	case "kmeans/sample":
-		var req sampleReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if s.dist == nil {
-			return nil, errors.New("dist: kmeans/sample before kmeans/seed")
-		}
-		idx, acc, found := kmeans.SamplePrefix(s.dist, req.Acc, req.Target)
-		return encodeBody(&sampleResp{Found: found, Idx: idx, Acc: acc})
-	case "kmeans/gather":
-		if s.assignments == nil {
-			return nil, errors.New("dist: kmeans/gather before kmeans/assign")
-		}
-		return encodeBody(&gatherResp{Assignments: s.assignments})
-	case "row":
-		var req rowReq
-		if err := decodeBody(body, &req); err != nil {
-			return nil, err
-		}
-		if req.I < 0 || req.I >= s.view.Rows() {
-			return nil, fmt.Errorf("dist: row %d out of shard [0, %d)", req.I, s.view.Rows())
-		}
-		row, stall := s.view.Row(req.I)
-		out := make([]float64, len(row))
-		copy(out, row)
-		return encodeBody(&rowResp{Row: out, Stall: stall})
-	}
-	return nil, fmt.Errorf("dist: unknown op %q", op)
-}
-
-// stat opens path just long enough to report its shape.
-func (s *session) stat(req statReq) ([]byte, error) {
-	eng := core.New(core.Config{Mode: core.MemoryMapped, Workers: 1})
-	defer eng.Close()
-	t, err := eng.Open(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols := t.X.Dims()
-	return encodeBody(&statResp{Rows: rows, Cols: cols, HasLabels: t.Labels != nil})
-}
-
-// open claims the shard: the engine opens the whole file (mapped
-// files share pages between shards on one host; heap mode loads once
-// per worker) and the session scans only its row window.
-func (s *session) open(req openReq) ([]byte, error) {
-	if req.Lo < 0 || req.Hi <= req.Lo {
-		return nil, fmt.Errorf("dist: bad shard [%d, %d)", req.Lo, req.Hi)
-	}
-	if req.GroupRows < 1 {
-		return nil, fmt.Errorf("dist: bad group height %d", req.GroupRows)
-	}
-	if req.Lo%req.GroupRows != 0 {
-		return nil, fmt.Errorf("dist: shard start %d is not a multiple of the group height %d", req.Lo, req.GroupRows)
-	}
-	// Tear down any previous shard first.
-	if s.eng != nil {
-		s.eng.Close()
-	}
-	s.table, s.base, s.view, s.cache = nil, nil, nil, nil
-	s.labels, s.chain = nil, nil
-	s.resetFitState()
-
-	s.eng = core.New(core.Config{Mode: s.cfg.Mode, MemoryBudget: s.cfg.MemoryBudget, Workers: s.cfg.Workers})
-	t, err := s.eng.Open(req.Path)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols := t.X.Dims()
-	if req.Hi > rows {
-		return nil, fmt.Errorf("dist: shard [%d, %d) exceeds %d rows", req.Lo, req.Hi, rows)
-	}
-	s.table = t
-	s.lo, s.hi = req.Lo, req.Hi
-	s.globalRows = rows
-	s.groupRows = req.GroupRows
-	s.base = t.X.RowWindow(req.Lo, req.Hi)
-	s.view = s.base
-	if t.Labels != nil {
-		s.labels = t.Labels[req.Lo:req.Hi]
-	}
-	return encodeBody(&openResp{Rows: s.hi - s.lo, Cols: cols, HasLabels: s.labels != nil})
-}
-
-// dropChain discards the fused chain and any materialized cache,
-// returning the view to the raw shard window.
-func (s *session) dropChain() {
+// reset drops the fit's stages, cache and scratch, keeping the shard.
+func (s *session) reset() {
 	if s.cache != nil {
 		s.cache.Release()
 		s.cache = nil
 	}
 	s.chain = nil
-	s.view = s.base
+	s.sh.X = s.base
+	s.sh.Reset()
 }
 
-// pushStage appends one fitted transformer to the fused chain and
-// rebuilds the view. The kernels are the same per-row transforms the
-// local pipeline fuses, so the transformed rows are bit-identical.
-func (s *session) pushStage(req stageReq) ([]byte, error) {
+// handle runs one op and returns the reply body and its stall.
+func (s *session) handle(ctx context.Context, op string, body []byte) ([]byte, float64, error) {
+	switch op {
+	case "stat":
+		var req statReq
+		if err := decodeBody(body, &req); err != nil {
+			return nil, 0, err
+		}
+		return s.stat(req)
+	case "open":
+		var req openReq
+		if err := decodeBody(body, &req); err != nil {
+			return nil, 0, err
+		}
+		return nil, 0, s.open(req)
+	}
+	if s.sh == nil {
+		return nil, 0, fmt.Errorf("dist: %s before open", op)
+	}
+	switch op {
+	case "reset":
+		s.reset()
+		return nil, 0, nil
+	case "stage":
+		var req stageReq
+		if err := decodeBody(body, &req); err != nil {
+			return nil, 0, err
+		}
+		return nil, 0, s.push(req.Stage)
+	case "materialize":
+		return nil, 0, s.materialize(ctx)
+	case "reduce":
+		var req reduceReq
+		if err := decodeBody(body, &req); err != nil {
+			return nil, 0, err
+		}
+		j, err := exec.JobOf(req.Pass)
+		if err != nil {
+			return nil, 0, err
+		}
+		groups, stall, err := j.Scan(ctx, s.sh, true)
+		if err != nil {
+			return nil, stall, err
+		}
+		out, err := encodeBody(groups)
+		return out, stall, err
+	case "sample":
+		var req sampleReq
+		if err := decodeBody(body, &req); err != nil {
+			return nil, 0, err
+		}
+		idx, acc, found, err := s.sh.SamplePrefix(req.Key, req.Acc, req.Target)
+		if err != nil {
+			return nil, 0, err
+		}
+		out, err := encodeBody(&sampleResp{Found: found, Idx: idx, Acc: acc})
+		return out, 0, err
+	case "row":
+		var req rowReq
+		if err := decodeBody(body, &req); err != nil {
+			return nil, 0, err
+		}
+		if n, _ := s.sh.X.Dims(); req.I < 0 || req.I >= n {
+			return nil, 0, fmt.Errorf("dist: row %d out of shard [0, %d)", req.I, n)
+		}
+		row, stall := s.sh.X.Row(req.I)
+		out, err := encodeBody(row)
+		return out, stall, err
+	case "gather":
+		var req gatherReq
+		if err := decodeBody(body, &req); err != nil {
+			return nil, 0, err
+		}
+		v, err := s.sh.Ints(req.Key)
+		if err != nil {
+			return nil, 0, err
+		}
+		out, err := encodeBody(v)
+		return out, 0, err
+	}
+	return nil, 0, fmt.Errorf("dist: unknown op %q", op)
+}
+
+// stat opens path just long enough to report its shape.
+func (s *session) stat(req statReq) ([]byte, float64, error) {
+	eng := core.New(core.Config{Mode: core.MemoryMapped, Workers: 1})
+	defer eng.Close()
+	t, err := eng.Open(req.Path)
+	if err != nil {
+		return nil, 0, err
+	}
+	rows, cols := t.X.Dims()
+	out, err := encodeBody(&statResp{Rows: rows, Cols: cols})
+	return out, 0, err
+}
+
+// open claims the shard: the engine opens the whole file (mapped
+// files share pages between shards on one host; heap mode loads once
+// per worker) and the session scans only its row window.
+func (s *session) open(req openReq) error {
+	if req.Lo < 0 || req.Hi <= req.Lo {
+		return fmt.Errorf("dist: bad shard [%d, %d)", req.Lo, req.Hi)
+	}
+	if req.GroupRows < 1 {
+		return fmt.Errorf("dist: bad group height %d", req.GroupRows)
+	}
+	if req.Lo%req.GroupRows != 0 {
+		return fmt.Errorf("dist: shard start %d is not a multiple of the group height %d", req.Lo, req.GroupRows)
+	}
+	s.close() // tear down any previous shard first
+	s.eng = core.New(core.Config{Mode: s.cfg.Mode, MemoryBudget: s.cfg.MemoryBudget, Workers: s.cfg.Workers})
+	t, err := s.eng.Open(req.Path)
+	if err != nil {
+		return err
+	}
+	if rows := t.X.Rows(); req.Hi > rows {
+		return fmt.Errorf("dist: shard [%d, %d) exceeds %d rows", req.Lo, req.Hi, rows)
+	}
+	s.base = t.X.RowWindow(req.Lo, req.Hi)
+	s.sh = &exec.Shard{X: s.base, Lo: req.Lo, Workers: s.cfg.Workers, GroupRows: req.GroupRows}
+	if t.Labels != nil {
+		s.sh.Labels = t.Labels[req.Lo:req.Hi]
+	}
+	return nil
+}
+
+// push appends one fitted stage to the fused chain and rebuilds the
+// view: the same kernels a local pipeline fuses, so the transformed
+// rows are bit-identical.
+func (s *session) push(st core.Stage) error {
 	if s.cache != nil {
-		return nil, errors.New("dist: stage after materialize")
+		return errors.New("dist: stage after materialize")
 	}
-	var bt core.BlockTransformer
-	switch req.Kind {
-	case "standard":
-		bt = scalerStage{s: &preprocess.StandardScaler{Mean: req.Mean, Std: req.Std}}
-	case "minmax":
-		bt = minmaxStage{s: &preprocess.MinMaxScaler{Min: req.Min, Range: req.Range}}
-	case "pca":
-		if req.K < 1 || req.D < 1 || len(req.Components) != req.K*req.D {
-			return nil, fmt.Errorf("dist: bad pca stage %dx%d with %d component values", req.K, req.D, len(req.Components))
-		}
-		comp := mat.NewDense(req.K, req.D)
-		for i := 0; i < req.K; i++ {
-			comp.SetRow(i, req.Components[i*req.D:(i+1)*req.D])
-		}
-		bt = pcaStage{r: &pca.Result{Components: comp, Mean: req.PCAMean}}
-	default:
-		return nil, fmt.Errorf("dist: unknown stage kind %q", req.Kind)
+	checked, ok := st.(stage)
+	if !ok {
+		return fmt.Errorf("dist: %T cannot be checked as a shipped stage", st)
 	}
-	if got, want := bt.InCols(), s.view.Cols(); got != want {
-		return nil, fmt.Errorf("dist: stage expects %d columns, view has %d", got, want)
+	if err := checked.Validate(); err != nil {
+		return err
 	}
-	s.chain = append(s.chain, bt)
-	s.view = mat.NewFused(s.base, s.chain[len(s.chain)-1].OutCols(), core.FuseKernels(s.chain))
-	return encodeBody(&stageResp{OutCols: s.view.Cols()})
+	if _, cols := s.sh.X.Dims(); st.InCols() != cols {
+		return fmt.Errorf("dist: stage expects %d columns, view has %d", st.InCols(), cols)
+	}
+	s.chain = append(s.chain, st)
+	s.sh.X = mat.NewFused(s.base, st.OutCols(), core.FuseKernels(s.chain))
+	return nil
 }
 
 // materialize streams the fused view once into engine scratch and
 // re-points the view at the cache — the worker half of the pipeline's
 // single materialization before a multi-epoch final fit.
-func (s *session) materialize(ctx context.Context) ([]byte, error) {
-	if !s.view.IsFused() {
-		return encodeBody(&materializeResp{})
+func (s *session) materialize(ctx context.Context) error {
+	x := s.sh.X.(*mat.Dense)
+	if !x.IsFused() {
+		return nil
 	}
-	ds := &core.Dataset{X: s.view, Workers: s.cfg.Workers, Engine: s.eng}
-	cache, err := core.Materialize(ctx, ds, s.scanWorkers())
+	cache, err := core.Materialize(ctx, &core.Dataset{X: x, Workers: s.cfg.Workers, Engine: s.eng}, s.cfg.Workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.cache = cache
-	s.view = cache.X
-	return encodeBody(&materializeResp{})
+	s.sh.X = cache.X
+	return nil
 }
-
-// binaryLabels returns (caching) the 0/1 label view for a logistic
-// fit.
-func (s *session) binaryLabels(binarize bool, positive float64) ([]float64, error) {
-	if s.labels == nil {
-		return nil, errors.New("dist: dataset has no labels")
-	}
-	if !binarize {
-		for i, v := range s.labels {
-			if v != 0 && v != 1 {
-				return nil, fmt.Errorf("dist: label[%d] = %v, want 0 or 1 (global row %d)", i, v, s.lo+i)
-			}
-		}
-		return s.labels, nil
-	}
-	//m3vet:allow floateq -- cache key: the positive class is a config value compared verbatim, not computed
-	if s.binLabels != nil && s.binPositive == positive {
-		return s.binLabels, nil
-	}
-	s.binLabels = preprocess.BinaryLabels(s.labels, positive)
-	s.binPositive = positive
-	return s.binLabels, nil
-}
-
-// classLabels returns (caching) the integer label view for softmax
-// and bayes fits.
-func (s *session) classLabels(classes int) ([]int, error) {
-	if s.labels == nil {
-		return nil, errors.New("dist: dataset has no labels")
-	}
-	if s.intLabels != nil && s.intClasses == classes {
-		return s.intLabels, nil
-	}
-	y, err := preprocess.IntLabels(s.labels, classes)
-	if err != nil {
-		return nil, fmt.Errorf("dist: shard [%d, %d): %w", s.lo, s.hi, err)
-	}
-	s.intLabels = y
-	s.intClasses = classes
-	return s.intLabels, nil
-}
-
-// --- Fused-stage wrappers --------------------------------------------
-//
-// These mirror the root package's Fitted* block kernels exactly (same
-// copy + TransformRow / TransformInto sequences), so a worker's fused
-// view produces bit-identical transformed rows. They are duplicated
-// here because internal/dist cannot import the root package (the root
-// package imports dist).
-
-type scalerStage struct{ s *preprocess.StandardScaler }
-
-func (t scalerStage) InCols() int  { return len(t.s.Mean) }
-func (t scalerStage) OutCols() int { return len(t.s.Mean) }
-func (t scalerStage) BlockKernel() core.RowKernel {
-	return func(dst, src []float64) []float64 {
-		copy(dst, src)
-		t.s.TransformRow(dst)
-		return dst
-	}
-}
-func (t scalerStage) Transform(ctx context.Context, ds *core.Dataset) (*core.Dataset, error) {
-	return core.TransformDataset(ctx, ds, t.OutCols(), 0, t.BlockKernel)
-}
-func (t scalerStage) TransformRow(row []float64) []float64 {
-	out := append([]float64(nil), row...)
-	t.s.TransformRow(out)
-	return out
-}
-func (t scalerStage) Save(path string) error { return modelio.SaveFile(path, t.s) }
-
-type minmaxStage struct{ s *preprocess.MinMaxScaler }
-
-func (t minmaxStage) InCols() int  { return len(t.s.Min) }
-func (t minmaxStage) OutCols() int { return len(t.s.Min) }
-func (t minmaxStage) BlockKernel() core.RowKernel {
-	return func(dst, src []float64) []float64 {
-		copy(dst, src)
-		t.s.TransformRow(dst)
-		return dst
-	}
-}
-func (t minmaxStage) Transform(ctx context.Context, ds *core.Dataset) (*core.Dataset, error) {
-	return core.TransformDataset(ctx, ds, t.OutCols(), 0, t.BlockKernel)
-}
-func (t minmaxStage) TransformRow(row []float64) []float64 {
-	out := append([]float64(nil), row...)
-	t.s.TransformRow(out)
-	return out
-}
-func (t minmaxStage) Save(path string) error { return modelio.SaveFile(path, t.s) }
-
-type pcaStage struct{ r *pca.Result }
-
-func (t pcaStage) InCols() int  { return t.r.Components.Cols() }
-func (t pcaStage) OutCols() int { return t.r.Components.Rows() }
-func (t pcaStage) BlockKernel() core.RowKernel {
-	centered := make([]float64, t.r.Components.Cols())
-	return func(dst, src []float64) []float64 {
-		t.r.TransformInto(src, dst, centered)
-		return dst
-	}
-}
-func (t pcaStage) Transform(ctx context.Context, ds *core.Dataset) (*core.Dataset, error) {
-	return core.TransformDataset(ctx, ds, t.OutCols(), 0, t.BlockKernel)
-}
-func (t pcaStage) TransformRow(row []float64) []float64 {
-	out := make([]float64, t.OutCols())
-	t.r.Transform(row, out)
-	return out
-}
-func (t pcaStage) Save(path string) error { return modelio.SaveFile(path, t.r) }

@@ -14,6 +14,7 @@ import (
 	"m3/internal/mat"
 	"m3/internal/ml/kmeans"
 	"m3/internal/ml/logreg"
+	"m3/internal/ml/preprocess"
 	"m3/internal/mmap"
 	"m3/internal/store"
 )
@@ -112,7 +113,7 @@ func TestLogregGradientDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	eval := func(workers int) (float64, []float64) {
-		obj, err := logreg.NewParallelObjective(x, y, 1e-3, true, workers)
+		obj, err := logreg.NewParallelObjective(context.Background(), exec.Local(x, y, workers), preprocess.BinaryRule{}, 1e-3, true)
 		if err != nil {
 			t.Fatal(err)
 		}

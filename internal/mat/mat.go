@@ -11,7 +11,9 @@
 package mat
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 
 	"m3/internal/blas"
@@ -478,6 +480,36 @@ func (d *Dense) Equal(other *Dense) bool {
 		}
 	}
 	return true
+}
+
+// denseWire is a matrix's gob form.
+type denseWire struct {
+	Rows, Cols int
+	Data       []float64
+}
+
+// GobEncode writes the shape and elements (a fused view's transformed
+// rows), so a matrix inside a shipped value — the basis of a PCA stage
+// pushed to cluster workers — crosses the wire.
+func (d *Dense) GobEncode() ([]byte, error) {
+	w := denseWire{Rows: d.rows, Cols: d.cols, Data: make([]float64, 0, d.rows*d.cols)}
+	d.ForEachRow(func(_ int, row []float64) { w.Data = append(w.Data, row...) })
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(w)
+	return buf.Bytes(), err
+}
+
+// GobDecode rebuilds an encoded matrix on the heap.
+func (d *Dense) GobDecode(b []byte) error {
+	var w denseWire
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
+		return err
+	}
+	if w.Rows < 1 || w.Cols < 1 || len(w.Data)%w.Cols != 0 || len(w.Data)/w.Cols != w.Rows {
+		return fmt.Errorf("mat: %dx%d matrix with %d values", w.Rows, w.Cols, len(w.Data))
+	}
+	*d = *NewDenseFrom(w.Data, w.Rows, w.Cols)
+	return nil
 }
 
 // String renders small matrices for debugging; large ones are

@@ -14,6 +14,7 @@ import (
 	"m3/internal/exec"
 	"m3/internal/fit"
 	"m3/internal/mat"
+	"m3/internal/ml/preprocess"
 )
 
 // Options configures training.
@@ -49,95 +50,31 @@ type Model struct {
 	LogPrior []float64
 }
 
+func init() { exec.RegisterPass[*countPartial](countPass{}) }
+
 // Train fits the model in one pass over x. Labels must be integers in
 // [0, classes). ctx cancels the counting scan within one data block.
 func Train(ctx context.Context, x *mat.Dense, y []int, classes int, opts Options) (*Model, error) {
+	return TrainPlane(ctx, exec.Local(x, preprocess.FloatLabels(y), opts.Workers), classes, opts)
+}
+
+// TrainPlane is Train over a plane's rows: a single counting pass
+// accumulates per-class count, sum and sum-of-squares partials, merged
+// in row order so the model is identical for any worker or shard
+// count.
+func TrainPlane(ctx context.Context, pl exec.Plane, classes int, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	n, d := x.Dims()
-	if n != len(y) {
-		return nil, fmt.Errorf("bayes: %d rows but %d labels", n, len(y))
-	}
 	if classes < 2 {
 		return nil, fmt.Errorf("bayes: need >= 2 classes, got %d", classes)
 	}
-	for i, v := range y {
-		if v < 0 || v >= classes {
-			return nil, fmt.Errorf("bayes: label[%d] = %d outside [0,%d)", i, v, classes)
-		}
-	}
-
-	// Single blocked scan on the shared execution layer: each block
-	// accumulates per-class count, sum and sum-of-squares partials,
-	// merged in block order so the model is identical for any worker
-	// count.
-	acc, _, err := exec.ReduceRows(x.ScanCtx(ctx, o.Workers).Named("bayes moments"),
-		func() *CountPartial { return NewCountPartial(classes, d) },
-		func(p *CountPartial, i int, row []float64) { p.Add(y[i], row) },
-		MergeCounts)
+	n, d := pl.Dims()
+	acc, _, err := exec.Reduce(ctx, pl, countPass{Classes: classes, D: d})
 	if err != nil {
 		return nil, err
 	}
-	return ModelFromCounts(acc, n, classes, d, o.VarSmoothing)
-}
-
-// CountPartial is one merge group's (or block's) share of the class
-// statistics — the shardable aggregate of a naive-Bayes fit. Fields
-// are exported for gob.
-type CountPartial struct {
-	Counts, Sum, SumSq []float64
-}
-
-// NewCountPartial returns a zero partial for classes×d statistics.
-func NewCountPartial(classes, d int) *CountPartial {
-	return &CountPartial{
-		Counts: make([]float64, classes),
-		Sum:    make([]float64, classes*d),
-		SumSq:  make([]float64, classes*d),
-	}
-}
-
-// Add accumulates one row of class c.
-func (p *CountPartial) Add(c int, row []float64) {
-	p.Counts[c]++
-	base := c * len(row)
-	for j, v := range row {
-		p.Sum[base+j] += v
-		p.SumSq[base+j] += v * v
-	}
-}
-
-// MergeCounts folds src into dst with the local scan's exact merge
-// operations.
-func MergeCounts(dst, src *CountPartial) {
-	blas.Axpy(1, src.Counts, dst.Counts)
-	blas.Axpy(1, src.Sum, dst.Sum)
-	blas.Axpy(1, src.SumSq, dst.SumSq)
-}
-
-// CountGroups computes the per-merge-group class-statistic partials —
-// the worker half of a distributed fit. groupRows must be the
-// coordinator's global group height.
-func CountGroups(ctx context.Context, x *mat.Dense, y []int, classes int, workers, groupRows int) ([]exec.GroupPartial[*CountPartial], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("bayes moments")
-	scan.GroupRows = groupRows
-	return exec.ReduceRowGroups(scan,
-		func() *CountPartial { return NewCountPartial(classes, d) },
-		func(p *CountPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				p.Add(y[i], block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		MergeCounts)
-}
-
-// ModelFromCounts closes the fit over the folded statistics — mean,
-// biased variance with smoothing, log priors — the arithmetic shared
-// by the local and distributed paths. n is the global row count.
-func ModelFromCounts(acc *CountPartial, n, classes, d int, varSmoothing float64) (*Model, error) {
 	m := &Model{
 		Classes:  classes,
 		Features: d,
@@ -166,17 +103,62 @@ func ModelFromCounts(acc *CountPartial, n, classes, d int, varSmoothing float64)
 			}
 		}
 	}
-	eps := varSmoothing * math.Max(maxVar, 1e-12)
+	eps := o.VarSmoothing * math.Max(maxVar, 1e-12)
 	for i := range m.Var {
 		m.Var[i] += eps
 	}
 	return m, nil
 }
 
-// DefaultVarSmoothing resolves the smoothing knob the way Train does,
-// so distributed callers share the default.
-func DefaultVarSmoothing(v float64) float64 {
-	return Options{VarSmoothing: v}.withDefaults().VarSmoothing
+// countPartial is one merge group's (or block's) share of the class
+// statistics. Fields are exported for gob.
+type countPartial struct {
+	Counts, Sum, SumSq []float64
+}
+
+// maxClasses bounds a counting pass's class count: the state it
+// allocates grows with it, and no data bounds it the way shipped
+// parameters bound the other passes.
+const maxClasses = 1 << 16
+
+// countPass is the single counting scan over rows of width D.
+type countPass struct{ Classes, D int }
+
+func (p countPass) Zero() *countPartial {
+	return &countPartial{
+		Counts: make([]float64, p.Classes),
+		Sum:    make([]float64, p.Classes*p.D),
+		SumSq:  make([]float64, p.Classes*p.D),
+	}
+}
+
+func (p countPass) Merge(dst, src *countPartial) {
+	blas.Axpy(1, src.Counts, dst.Counts)
+	blas.Axpy(1, src.Sum, dst.Sum)
+	blas.Axpy(1, src.SumSq, dst.SumSq)
+}
+
+func (p countPass) Bind(sh *exec.Shard, scan *exec.RowScan) (exec.Kernel[*countPartial], error) {
+	if p.D != scan.Cols || p.Classes < 2 || p.Classes > maxClasses {
+		return nil, fmt.Errorf("bayes: %d-class pass for %d features, on rows of %d", p.Classes, p.D, scan.Cols)
+	}
+	y, err := preprocess.ClassIDs(sh, p.Classes)
+	if err != nil {
+		return nil, err
+	}
+	scan.Name = "bayes moments"
+	d := p.D
+	return func(cp *countPartial, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			c := y[i]
+			cp.Counts[c]++
+			base := c * d
+			for j, v := range block[(i-lo)*stride : (i-lo)*stride+d] {
+				cp.Sum[base+j] += v
+				cp.SumSq[base+j] += v * v
+			}
+		}
+	}, nil
 }
 
 // LogScores writes per-class joint log-likelihoods into dst

@@ -5,13 +5,12 @@
 // is a pure sequential scan, which is why k-means pages as well as
 // logistic regression under M3.
 //
-// The algorithm is written against a DataPlane — the four data-touching
-// operations a fit needs (assignment pass, seeding pass, prefix
-// sampling, row fetch). Run wires the plane to a local matrix; a
-// distributed coordinator implements the same interface over sharded
-// workers, and because every plane operation reproduces the local
-// floating-point operation order exactly, both planes produce
-// bit-identical results.
+// The algorithm is written against an exec.Plane: the assignment and
+// seeding scans are shardable passes, and the k-means++ prefix walk,
+// row fetches and the final assignment gather are plane operations
+// over the passes' per-shard scratch. Run wires the plane to a local
+// matrix; on a cluster the same driver runs against the sharded plane
+// with bit-identical results.
 package kmeans
 
 import (
@@ -90,26 +89,43 @@ type Result struct {
 	Scans int
 }
 
-// AssignPartial is one merge group's (or block's) share of a Lloyd
-// assignment pass — the shardable aggregate a distributed assignment
-// ships. Fields are exported for gob.
-type AssignPartial struct {
+func init() {
+	exec.RegisterPass[*assignPartial](assignPass{})
+	exec.RegisterPass[*float64](seedPass{})
+}
+
+// Per-shard scratch the passes keep for the plane operations.
+const (
+	// assignKey holds each row's cluster ([]int), updated by every
+	// assignment pass and gathered at the end of the fit.
+	assignKey = "kmeans assignments"
+	// distKey holds each row's squared distance to its nearest chosen
+	// seed ([]float64), tightened by every seeding pass and walked by
+	// the k-means++ prefix sample.
+	distKey = "kmeans++ distances"
+)
+
+// assignPartial is one merge group's (or block's) share of a Lloyd
+// assignment pass. Fields are exported for gob.
+type assignPartial struct {
 	Sums    []float64
 	Counts  []int
 	Inertia float64
 	Changed int
 }
 
-// NewAssignPartial returns a zero partial for k clusters over d
-// features.
-func NewAssignPartial(k, d int) *AssignPartial {
-	return &AssignPartial{Sums: make([]float64, k*d), Counts: make([]int, k)}
+// assignPass is one Lloyd assignment pass against K centroids of
+// width D (row-major).
+type assignPass struct {
+	Centroids []float64
+	K, D      int
 }
 
-// MergeAssign folds src into dst with the local pass's exact merge
-// operations, exported so a coordinator refolds shipped partials with
-// the same floating-point operation sequence.
-func MergeAssign(dst, src *AssignPartial) {
+func (p assignPass) Zero() *assignPartial {
+	return &assignPartial{Sums: make([]float64, p.K*p.D), Counts: make([]int, p.K)}
+}
+
+func (p assignPass) Merge(dst, src *assignPartial) {
 	dst.Inertia += src.Inertia
 	dst.Changed += src.Changed
 	blas.Axpy(1, src.Sums, dst.Sums)
@@ -118,185 +134,64 @@ func MergeAssign(dst, src *AssignPartial) {
 	}
 }
 
-// assignKernel returns the per-row accumulation of one Lloyd
-// assignment pass. assignments is indexed by the scan's row index
-// (shard-local on a worker) and is updated in place.
-func assignKernel(assignments []int, centroids []float64, k, d int) func(p *AssignPartial, i int, row []float64) {
-	return func(p *AssignPartial, i int, row []float64) {
-		bestC, best := blas.NearestRow(row, k, d, centroids, d)
-		if assignments[i] != bestC {
-			p.Changed++
-			assignments[i] = bestC
-		}
-		p.Inertia += best
-		blas.Axpy(1, row, p.Sums[bestC*d:(bestC+1)*d])
-		p.Counts[bestC]++
+func (p assignPass) Bind(sh *exec.Shard, scan *exec.RowScan) (exec.Kernel[*assignPartial], error) {
+	if p.K < 1 || p.K > len(p.Centroids) || p.D != scan.Cols || len(p.Centroids) != p.K*p.D {
+		return nil, fmt.Errorf("kmeans: %d centroid values for K=%d, D=%d, on rows of %d", len(p.Centroids), p.K, p.D, scan.Cols)
 	}
-}
-
-// AssignGroups runs one assignment pass and returns the per-merge-group
-// partials — the worker half of a distributed Lloyd iteration.
-// assignments must have x.Rows() entries (shard-local); groupRows must
-// be the coordinator's global group height.
-func AssignGroups(ctx context.Context, x *mat.Dense, assignments []int, centroids []float64, k, workers, groupRows int) ([]exec.GroupPartial[*AssignPartial], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("kmeans assign")
-	scan.GroupRows = groupRows
-	kern := assignKernel(assignments, centroids, k, d)
-	return exec.ReduceRowGroups(scan,
-		func() *AssignPartial { return NewAssignPartial(k, d) },
-		func(p *AssignPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(p, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		MergeAssign)
-}
-
-// seedKernel returns the per-row accumulation of one k-means++ seeding
-// pass: tighten dist[i] against the newest centroid and accumulate the
-// total mass.
-func seedKernel(dist, prev []float64) func(mass *float64, i int, row []float64) {
-	return func(mass *float64, i int, row []float64) {
-		if d2 := blas.SqDist(row, prev); d2 < dist[i] {
-			dist[i] = d2
-		}
-		*mass += dist[i]
-	}
-}
-
-// SeedGroups runs one k-means++ seeding pass against the newest
-// centroid prev, updating dist in place, and returns the per-group
-// mass partials — the worker half of a distributed seeding round.
-func SeedGroups(ctx context.Context, x *mat.Dense, dist, prev []float64, workers, groupRows int) ([]exec.GroupPartial[*float64], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("kmeans++ seed")
-	scan.GroupRows = groupRows
-	kern := seedKernel(dist, prev)
-	return exec.ReduceRowGroups(scan,
-		func() *float64 { return new(float64) },
-		func(mass *float64, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(mass, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		func(dst, src *float64) { *dst += *src })
-}
-
-// SamplePrefix walks dist in order, accumulating into acc, and returns
-// the first index where the running sum reaches target. Shards chain
-// the call — each passes the previous shard's final acc — so the
-// distributed walk performs the identical sequential additions the
-// local one does.
-func SamplePrefix(dist []float64, acc, target float64) (chosen int, newAcc float64, found bool) {
-	for i, d2 := range dist {
-		acc += d2
-		if acc >= target {
-			return i, acc, true
-		}
-	}
-	return 0, acc, false
-}
-
-// DataPlane is the data-touching surface of a k-means fit: everything
-// RunPlane needs from the row set, local or distributed. A plane is
-// per-fit — it owns the fit's assignment vector and seeding distances.
-//
-// Implementations must reproduce the local floating-point operation
-// order exactly (grouped block reduction for the passes, sequential
-// prefix walk for sampling) so that every plane yields bit-identical
-// results.
-type DataPlane interface {
-	// Dims returns the global row and feature counts.
-	Dims() (n, d int)
-	// AssignPass runs one Lloyd assignment pass against the flat K×D
-	// centroid block, updating the plane's assignments, and returns
-	// the fully folded partial plus accumulated stall seconds.
-	AssignPass(ctx context.Context, centroids []float64, k int) (*AssignPartial, float64, error)
-	// SeedPass tightens the plane's k-means++ distances against the
-	// newest centroid and returns the total mass plus stall seconds.
-	SeedPass(ctx context.Context, prev []float64) (mass, stall float64, err error)
-	// SamplePrefix returns the first global row index where the
-	// running sum over the seeding distances reaches target (the last
-	// row when the mass falls short, mirroring the local fallback).
-	SamplePrefix(ctx context.Context, target float64) (int, error)
-	// FetchRow copies global row i into dst and returns stall seconds.
-	FetchRow(ctx context.Context, i int, dst []float64) (float64, error)
-	// GatherAssignments returns the per-row cluster assignments in
-	// global row order.
-	GatherAssignments(ctx context.Context) ([]int, error)
-}
-
-// LocalPlane is the single-machine DataPlane over a matrix.
-type LocalPlane struct {
-	x           *mat.Dense
-	workers     int
-	assignments []int
-	dist        []float64
-}
-
-// NewLocalPlane wraps x for a fit. workers <= 0 defers to the engine
-// hint and then NumCPU.
-func NewLocalPlane(x *mat.Dense, workers int) *LocalPlane {
-	return &LocalPlane{x: x, workers: workers, assignments: make([]int, x.Rows())}
-}
-
-// Dims implements DataPlane.
-func (p *LocalPlane) Dims() (int, int) { return p.x.Dims() }
-
-// AssignPass implements DataPlane with one blocked scan on the shared
-// execution layer: each block accumulates its own sums/counts/inertia,
-// partials merge in block order within canonical row groups, so the
-// result is identical for any worker count. assignments[i] writes are
-// per-row disjoint.
-func (p *LocalPlane) AssignPass(ctx context.Context, centroids []float64, k int) (*AssignPartial, float64, error) {
-	d := p.x.Cols()
-	kern := assignKernel(p.assignments, centroids, k, d)
-	return exec.ReduceRows(p.x.ScanCtx(ctx, p.workers).Named("kmeans assign"),
-		func() *AssignPartial { return NewAssignPartial(k, d) },
-		func(ap *AssignPartial, i int, row []float64) { kern(ap, i, row) },
-		MergeAssign)
-}
-
-// SeedPass implements DataPlane (dist[i] updates are per-row disjoint,
-// the mass total reduces in block order).
-func (p *LocalPlane) SeedPass(ctx context.Context, prev []float64) (float64, float64, error) {
-	if p.dist == nil {
-		p.dist = make([]float64, p.x.Rows())
-		for i := range p.dist {
-			p.dist[i] = math.Inf(1)
-		}
-	}
-	kern := seedKernel(p.dist, prev)
-	mass, stall, err := exec.ReduceRows(p.x.ScanCtx(ctx, p.workers).Named("kmeans++ seed"),
-		func() *float64 { return new(float64) },
-		func(mass *float64, i int, row []float64) { kern(mass, i, row) },
-		func(dst, src *float64) { *dst += *src })
+	rows := scan.Rows
+	assignments, err := exec.Cached(sh, assignKey, func() ([]int, error) { return make([]int, rows), nil })
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	return *mass, stall, nil
+	scan.Name = "kmeans assign"
+	k, d, centroids := p.K, p.D, p.Centroids
+	return func(ap *assignPartial, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			row := block[(i-lo)*stride : (i-lo)*stride+d]
+			bestC, best := blas.NearestRow(row, k, d, centroids, d)
+			if assignments[i] != bestC {
+				ap.Changed++
+				assignments[i] = bestC
+			}
+			ap.Inertia += best
+			blas.Axpy(1, row, ap.Sums[bestC*d:(bestC+1)*d])
+			ap.Counts[bestC]++
+		}
+	}, nil
 }
 
-// SamplePrefix implements DataPlane.
-func (p *LocalPlane) SamplePrefix(_ context.Context, target float64) (int, error) {
-	chosen, _, found := SamplePrefix(p.dist, 0, target)
-	if !found {
-		chosen = p.x.Rows() - 1
+// seedPass is one k-means++ seeding pass: it tightens every row's
+// distance against the newest centroid Prev and totals the mass.
+type seedPass struct{ Prev []float64 }
+
+func (seedPass) Zero() *float64          { return new(float64) }
+func (seedPass) Merge(dst, src *float64) { *dst += *src }
+
+func (p seedPass) Bind(sh *exec.Shard, scan *exec.RowScan) (exec.Kernel[*float64], error) {
+	if len(p.Prev) != scan.Cols {
+		return nil, fmt.Errorf("kmeans: seed of %d values on rows of %d", len(p.Prev), scan.Cols)
 	}
-	return chosen, nil
-}
-
-// FetchRow implements DataPlane.
-func (p *LocalPlane) FetchRow(_ context.Context, i int, dst []float64) (float64, error) {
-	row, stall := p.x.Row(i)
-	copy(dst, row)
-	return stall, nil
-}
-
-// GatherAssignments implements DataPlane.
-func (p *LocalPlane) GatherAssignments(context.Context) ([]int, error) {
-	return p.assignments, nil
+	rows := scan.Rows
+	dist, err := exec.Cached(sh, distKey, func() ([]float64, error) {
+		d := make([]float64, rows)
+		for i := range d {
+			d[i] = math.Inf(1)
+		}
+		return d, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	scan.Name = "kmeans++ seed"
+	prev, d := p.Prev, scan.Cols
+	return func(mass *float64, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			if d2 := blas.SqDist(block[(i-lo)*stride:(i-lo)*stride+d], prev); d2 < dist[i] {
+				dist[i] = d2
+			}
+			*mass += dist[i]
+		}
+	}, nil
 }
 
 type rng struct{ s uint64 }
@@ -316,19 +211,13 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // within one data block of the init or assignment scans; the error is
 // then ctx.Err() and no result is returned.
 func Run(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	return RunPlane(ctx, NewLocalPlane(x, o.Workers), opts)
+	return RunPlane(ctx, exec.Local(x, nil, opts.Workers), opts)
 }
 
 // RunPlane clusters the plane's rows into K groups — the full Lloyd
-// driver (init, iterate, converge) over any DataPlane. Run wires it to
-// a local matrix; the distributed coordinator wires it to sharded
-// workers, and both produce bit-identical results because the plane
-// contract fixes the floating-point operation order.
-func RunPlane(ctx context.Context, plane DataPlane, opts Options) (*Result, error) {
+// driver (init, iterate, converge). The plane must be fresh for the
+// fit: its shards' assignment and distance scratch start empty.
+func RunPlane(ctx context.Context, plane exec.Plane, opts Options) (*Result, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -348,7 +237,7 @@ func RunPlane(ctx context.Context, plane DataPlane, opts Options) (*Result, erro
 	res := &Result{Centroids: mat.NewDense(o.K, d)}
 	rowBuf := make([]float64, d)
 	fetch := func(i, c int) error {
-		stall, err := plane.FetchRow(ctx, i, rowBuf)
+		stall, err := plane.Row(ctx, i, rowBuf)
 		if err != nil {
 			return err
 		}
@@ -386,13 +275,13 @@ func RunPlane(ctx context.Context, plane DataPlane, opts Options) (*Result, erro
 			return nil, err
 		}
 		for c := 1; c < o.K; c++ {
-			mass, stall, err := plane.SeedPass(ctx, res.Centroids.RawRow(c-1))
+			mass, stall, err := exec.Reduce(ctx, plane, seedPass{Prev: res.Centroids.RawRow(c - 1)})
 			if err != nil {
 				return nil, err
 			}
 			res.Stall += stall
 			res.Scans++
-			chosen, err := plane.SamplePrefix(ctx, r.uniform()*mass)
+			chosen, err := plane.Sample(ctx, distKey, r.uniform()*(*mass))
 			if err != nil {
 				return nil, err
 			}
@@ -409,7 +298,7 @@ func RunPlane(ctx context.Context, plane DataPlane, opts Options) (*Result, erro
 	}
 	callback := o.Hook("kmeans")
 	finish := func() (*Result, error) {
-		a, err := plane.GatherAssignments(ctx)
+		a, err := plane.Gather(ctx, assignKey)
 		if err != nil {
 			return nil, err
 		}
@@ -418,7 +307,7 @@ func RunPlane(ctx context.Context, plane DataPlane, opts Options) (*Result, erro
 	}
 
 	for iter := 1; iter <= o.MaxIterations; iter++ {
-		acc, stall, err := plane.AssignPass(ctx, centroids, o.K)
+		acc, stall, err := exec.Reduce(ctx, plane, assignPass{Centroids: centroids, K: o.K, D: d})
 		if err != nil {
 			return nil, err
 		}
@@ -432,7 +321,7 @@ func RunPlane(ctx context.Context, plane DataPlane, opts Options) (*Result, erro
 		for c := 0; c < o.K; c++ {
 			if acc.Counts[c] == 0 {
 				// Empty-cluster repair: respawn at a random row.
-				stall, err := plane.FetchRow(ctx, r.intn(n), newCentroid)
+				stall, err := plane.Row(ctx, r.intn(n), newCentroid)
 				if err != nil {
 					return nil, err
 				}

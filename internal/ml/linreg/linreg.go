@@ -14,6 +14,7 @@ import (
 	"m3/internal/exec"
 	"m3/internal/fit"
 	"m3/internal/mat"
+	"m3/internal/ml/preprocess"
 	"m3/internal/optimize"
 )
 
@@ -44,12 +45,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// ResolveOptions applies the defaults Train and TrainExact would —
-// exported so the distributed coordinator closes the normal equations
-// (and builds its remote objective) with the same ridge penalty a
-// local fit uses.
-func ResolveOptions(opts Options) Options { return opts.withDefaults() }
 
 // Model is a fitted linear regressor.
 type Model struct {
@@ -99,100 +94,125 @@ func (m *Model) R2(x *mat.Dense, y []float64) float64 {
 	return 1 - m.MSE(x, y)*float64(n)/ssTot
 }
 
-// Objective is the ridge least-squares loss, evaluated in blocked
-// (optionally parallel) scans on the shared execution layer; it
-// implements optimize.Objective.
+func init() {
+	exec.RegisterPass[*lsqPartial](lsqPass{})
+	exec.RegisterPass[*gramPartial](gramPass{})
+}
+
+// Objective is the ridge least-squares loss over the rows of a plane
+// (the raw labels are the targets); every Eval is one lsqPass. It
+// implements optimize.Objective. A failed pass is kept in Err and
+// turns the loss into NaN, which stops the optimizer.
 type Objective struct {
-	x         *mat.Dense
-	y         []float64
-	lambda    float64
-	intercept bool
-	// Workers sizes the worker pool per scan (<= 0: engine hint, then
-	// NumCPU). The result is bit-identical for every value.
-	Workers int
-	// Ctx, when non-nil, cancels data scans at block granularity.
-	Ctx context.Context
+	ctx    context.Context
+	plane  exec.Plane
+	pass   lsqPass
+	n      int
+	lambda float64
+
+	// Err is the first pass failure.
+	Err error
 	// Scans counts full passes.
 	Scans int
 }
 
-// NewObjective validates shapes.
-func NewObjective(x *mat.Dense, y []float64, lambda float64, intercept bool) (*Objective, error) {
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("linreg: %d rows but %d targets", x.Rows(), len(y))
-	}
+// NewObjective returns the objective over pl's rows. ctx cancels its
+// scans within one block.
+func NewObjective(ctx context.Context, pl exec.Plane, lambda float64, intercept bool) (*Objective, error) {
 	if lambda < 0 {
 		return nil, fmt.Errorf("linreg: negative lambda %v", lambda)
 	}
-	return &Objective{x: x, y: y, lambda: lambda, intercept: intercept}, nil
+	n, d := pl.Dims()
+	return &Objective{ctx: ctx, plane: pl, n: n, lambda: lambda, pass: lsqPass{D: d, Intercept: intercept}}, nil
 }
 
 // Dim returns the parameter count.
-func (o *Objective) Dim() int {
-	d := o.x.Cols()
-	if o.intercept {
-		d++
+func (o *Objective) Dim() int { return o.pass.dim() }
+
+// Eval computes ½·mean((w·x+b−y)²) + ½λ‖w‖² and its gradient in one
+// pass over the plane.
+func (o *Objective) Eval(params, grad []float64) float64 {
+	if o.Err != nil {
+		return math.NaN()
 	}
-	return d
+	p := o.pass
+	p.Params = params
+	total, _, err := exec.Reduce(o.ctx, o.plane, p)
+	o.Scans++
+	if err != nil {
+		o.Err = err
+		return math.NaN()
+	}
+	return finishLsq(total, o.n, p.D, o.lambda, p.Intercept, params, grad)
 }
 
-// LsqPartial is one merge group's (or block's) share of the
-// least-squares loss and gradient — the shardable aggregate a
-// distributed evaluation ships. Fields are exported for gob.
-type LsqPartial struct {
+// lsqPartial is one merge group's (or block's) share of the
+// least-squares loss and gradient. Fields are exported for gob.
+type lsqPartial struct {
 	SSE, GB float64
 	GW      []float64
 }
 
-// NewLsqPartial returns a zero partial for d features.
-func NewLsqPartial(d int) *LsqPartial { return &LsqPartial{GW: make([]float64, d)} }
+// lsqPass evaluates the least-squares objective at Params over rows of
+// width D.
+type lsqPass struct {
+	Params    []float64
+	D         int
+	Intercept bool
+}
 
-// MergeLsq folds src into dst with the local objective's exact merge
-// operations.
-func MergeLsq(dst, src *LsqPartial) {
+// dim returns the parameter count: D weights plus the intercept.
+func (p lsqPass) dim() int {
+	if p.Intercept {
+		return p.D + 1
+	}
+	return p.D
+}
+
+func (p lsqPass) Zero() *lsqPartial { return &lsqPartial{GW: make([]float64, p.D)} }
+
+func (p lsqPass) Merge(dst, src *lsqPartial) {
 	dst.SSE += src.SSE
 	dst.GB += src.GB
 	blas.Axpy(1, src.GW, dst.GW)
 }
 
-// lsqKernel returns the per-row accumulation at parameters (w, b).
-func lsqKernel(y, w []float64, b float64) func(p *LsqPartial, i int, row []float64) {
-	return func(p *LsqPartial, i int, row []float64) {
-		r := blas.Dot(row, w) + b - y[i]
-		p.SSE += r * r
-		blas.Axpy(r, row, p.GW)
-		p.GB += r
+func (p lsqPass) Bind(sh *exec.Shard, scan *exec.RowScan) (exec.Kernel[*lsqPartial], error) {
+	y, err := targets(sh, len(p.Params), p.dim(), p.D, scan.Cols)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// LsqGroups computes the per-merge-group partials of the ridge
-// least-squares objective at params — the worker half of a
-// distributed evaluation. groupRows must be the coordinator's global
-// group height.
-func LsqGroups(ctx context.Context, x *mat.Dense, y []float64, params []float64, intercept bool, workers, groupRows int) ([]exec.GroupPartial[*LsqPartial], float64, error) {
-	d := x.Cols()
-	w := params[:d]
+	scan.Name = "linreg grad"
+	d := p.D
+	w := p.Params[:d]
 	var b float64
-	if intercept {
-		b = params[d]
+	if p.Intercept {
+		b = p.Params[d]
 	}
-	scan := x.ScanCtx(ctx, workers).Named("linreg grad")
-	scan.GroupRows = groupRows
-	kern := lsqKernel(y, w, b)
-	return exec.ReduceRowGroups(scan,
-		func() *LsqPartial { return NewLsqPartial(d) },
-		func(p *LsqPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(p, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		MergeLsq)
+	return func(l *lsqPartial, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			row := block[(i-lo)*stride : (i-lo)*stride+d]
+			r := blas.Dot(row, w) + b - y[i]
+			l.SSE += r * r
+			blas.Axpy(r, row, l.GW)
+			l.GB += r
+		}
+	}, nil
 }
 
-// FinishLsq turns the folded total into the mean regularized loss and
-// gradient — post-reduce arithmetic shared by the local and
-// distributed objectives.
-func FinishLsq(total *LsqPartial, n, d int, lambda float64, intercept bool, params, grad []float64) float64 {
+// targets checks a pass holding n parameters where it needs want, or
+// built for d features, against rows of width cols, and returns the
+// shard's regression targets.
+func targets(sh *exec.Shard, n, want, d, cols int) ([]float64, error) {
+	if n != want || d != cols {
+		return nil, fmt.Errorf("linreg: %d parameters (want %d) for %d features, on rows of %d", n, want, d, cols)
+	}
+	return preprocess.RawLabels(sh)
+}
+
+// finishLsq turns the folded total into the mean regularized loss and
+// gradient.
+func finishLsq(total *lsqPartial, n, d int, lambda float64, intercept bool, params, grad []float64) float64 {
 	w := params[:d]
 	blas.Fill(grad, 0)
 	gw := grad[:d]
@@ -207,89 +227,45 @@ func FinishLsq(total *LsqPartial, n, d int, lambda float64, intercept bool, para
 	return loss
 }
 
-// Eval computes ½·mean((w·x+b−y)²) + ½λ‖w‖² and its gradient in one
-// blocked pass over the data.
-func (o *Objective) Eval(params, grad []float64) float64 {
-	d := o.x.Cols()
-	w := params[:d]
-	var b float64
-	if o.intercept {
-		b = params[d]
-	}
-	kern := lsqKernel(o.y, w, b)
-	total, _, _ := exec.ReduceRows(o.x.ScanCtx(o.Ctx, o.Workers).Named("linreg grad"),
-		func() *LsqPartial { return NewLsqPartial(d) },
-		func(p *LsqPartial, i int, row []float64) { kern(p, i, row) },
-		MergeLsq)
-	o.Scans++
-	return FinishLsq(total, o.x.Rows(), d, o.lambda, o.intercept, params, grad)
-}
-
-// RemoteObjective is the distributed least-squares objective: local
-// Dim/finish, remote reduction (see logreg.RemoteObjective).
-type RemoteObjective struct {
-	N, D      int
-	Lambda    float64
-	Intercept bool
-	Reduce    func(params []float64) (*LsqPartial, error)
-	Err       error
-}
-
-// Dim implements optimize.Objective.
-func (o *RemoteObjective) Dim() int {
-	if o.Intercept {
-		return o.D + 1
-	}
-	return o.D
-}
-
-// Eval implements optimize.Objective via the remote reduction.
-func (o *RemoteObjective) Eval(params, grad []float64) float64 {
-	if o.Err != nil {
-		return math.NaN()
-	}
-	total, err := o.Reduce(params)
-	if err != nil {
-		o.Err = err
-		return math.NaN()
-	}
-	return FinishLsq(total, o.N, o.D, o.Lambda, o.Intercept, params, grad)
-}
-
-// Train fits the model with blocked L-BFGS scans. ctx cancels the fit
-// within one data block.
+// Train fits the model with blocked L-BFGS scans over x and targets
+// y. ctx cancels the fit within one data block.
 func Train(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
+	return TrainPlane(ctx, exec.Local(x, y, opts.Workers), opts)
+}
+
+// TrainPlane is Train over a plane's rows, whose raw labels are the
+// targets.
+func TrainPlane(ctx context.Context, pl exec.Plane, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	obj, err := NewObjective(x, y, o.Lambda, !o.NoIntercept)
+	obj, err := NewObjective(ctx, pl, o.Lambda, !o.NoIntercept)
 	if err != nil {
 		return nil, err
 	}
-	obj.Workers = o.Workers
-	obj.Ctx = ctx
-	return TrainWith(ctx, obj, x.Cols(), opts)
-}
-
-// TrainWith runs the L-BFGS driver over any objective with linreg's
-// parameterization — shared by the local and distributed paths so
-// both build identical Models.
-func TrainWith(ctx context.Context, obj optimize.Objective, d int, opts Options) (*Model, error) {
-	o := opts.withDefaults()
 	res, err := optimize.LBFGS(ctx, obj, make([]float64, obj.Dim()), optimize.LBFGSParams{
 		MaxIterations: o.MaxIterations,
 		GradTol:       o.GradTol,
 		Callback:      o.Hook("linreg"),
 	})
+	if obj.Err != nil {
+		return nil, obj.Err
+	}
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Weights: res.X[:d]}
-	if !o.NoIntercept {
-		m.Intercept = res.X[d]
+	return modelFrom(res.X, obj.pass.D, o.NoIntercept), nil
+}
+
+// modelFrom splits a solved parameter vector into weights and
+// intercept.
+func modelFrom(x []float64, d int, noIntercept bool) *Model {
+	m := &Model{Weights: x[:d]}
+	if !noIntercept {
+		m.Intercept = x[d]
 	}
-	return m, nil
+	return m
 }
 
 // TrainExact solves the ridge normal equations (XᵀX + λI)w = Xᵀy by
@@ -298,127 +274,95 @@ func TrainWith(ctx context.Context, obj optimize.Objective, d int, opts Options)
 // intercept is handled by augmenting with a constant column
 // (unregularized). ctx cancels the Gram scan within one data block.
 func TrainExact(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
+	return TrainExactPlane(ctx, exec.Local(x, y, opts.Workers), opts)
+}
+
+// TrainExactPlane is TrainExact over a plane's rows.
+func TrainExactPlane(ctx context.Context, pl exec.Plane, opts Options) (*Model, error) {
 	o := opts.withDefaults()
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("linreg: %d rows but %d targets", x.Rows(), len(y))
-	}
-	d := x.Cols()
-	total, _, err := exec.ReduceRows(gramScan(x.ScanCtx(ctx, o.Workers), d, o.NoIntercept, 0),
-		func() *GramPartial { return NewGramPartial(d, o.NoIntercept) },
-		gramRowKernel(y, d, o.NoIntercept),
-		MergeGram)
+	n, d := pl.Dims()
+	pass := gramPass{D: d, NoIntercept: o.NoIntercept}
+	g, _, err := exec.Reduce(ctx, pl, pass)
 	if err != nil {
 		return nil, err
 	}
-	return ModelFromGram(total, x.Rows(), d, o.Lambda, o.NoIntercept)
+	p := pass.size()
+	// Ridge on weights only.
+	for a := 0; a < d; a++ {
+		g.Gram[a*p+a] += o.Lambda * float64(n)
+	}
+	w, err := choleskySolve(g.Gram, g.RHS, p)
+	if err != nil {
+		return nil, err
+	}
+	return modelFrom(w, d, o.NoIntercept), nil
 }
 
-// GramPartial is one merge group's (or block's) share of the ridge
-// normal equations: a p×p Gram block and the Xᵀy right-hand side —
-// the shardable aggregate of the exact path. Fields are exported for
-// gob.
-type GramPartial struct {
+// gramPartial is one merge group's (or block's) share of the ridge
+// normal equations: a p×p Gram block and the Xᵀy right-hand side.
+// Fields are exported for gob.
+type gramPartial struct {
 	Gram, RHS []float64
 }
 
-// NewGramPartial returns a zero partial for d features (p = d+1 with
-// an intercept column).
-func NewGramPartial(d int, noIntercept bool) *GramPartial {
-	p := d
-	if !noIntercept {
-		p++
-	}
-	return &GramPartial{Gram: make([]float64, p*p), RHS: make([]float64, p)}
+// gramPass is the exact path's single scan over rows of width D.
+type gramPass struct {
+	D           int
+	NoIntercept bool
 }
 
-// MergeGram folds src into dst with the exact merge the local scan
-// uses.
-func MergeGram(dst, src *GramPartial) {
+// size returns the system size: D plus the intercept column.
+func (p gramPass) size() int {
+	if p.NoIntercept {
+		return p.D
+	}
+	return p.D + 1
+}
+
+func (p gramPass) Zero() *gramPartial {
+	n := p.size()
+	return &gramPartial{Gram: make([]float64, n*n), RHS: make([]float64, n)}
+}
+
+func (p gramPass) Merge(dst, src *gramPartial) {
 	blas.Axpy(1, src.Gram, dst.Gram)
 	blas.Axpy(1, src.RHS, dst.RHS)
 }
 
-// gramScan labels and block-sizes a Gram scan: each partial carries a
-// p×p block, so blocks hold at least ~p rows and the O(p²) zero+merge
-// amortizes to O(p) per row.
-func gramScan(scan exec.RowScan, d int, noIntercept bool, groupRows int) exec.RowScan {
-	p := d
-	if !noIntercept {
-		p++
-	}
-	scan = scan.Named("linreg gram")
-	scan.GroupRows = groupRows
-	if minBytes := p * p * 8; minBytes > exec.DefaultBlockBytes {
-		scan.BlockBytes = minBytes
-	}
-	return scan
-}
-
-// gramRowKernel returns the per-row normal-equation accumulation.
-func gramRowKernel(y []float64, d int, noIntercept bool) func(g *GramPartial, i int, row []float64) {
-	p := d
-	if !noIntercept {
-		p++
-	}
-	return func(g *GramPartial, i int, row []float64) {
-		for a := 0; a < d; a++ {
-			va := row[a]
-			if va == 0 {
-				continue
-			}
-			blas.Axpy(va, row, g.Gram[a*p:a*p+d])
-			if !noIntercept {
-				g.Gram[a*p+d] += va
-			}
-			g.RHS[a] += va * y[i]
-		}
-		if !noIntercept {
-			blas.Axpy(1, row, g.Gram[d*p:d*p+d])
-			g.Gram[d*p+d]++
-			g.RHS[d] += y[i]
-		}
-	}
-}
-
-// GramGroups computes the per-merge-group normal-equation partials —
-// the worker half of a distributed exact fit. groupRows must be the
-// coordinator's global group height.
-func GramGroups(ctx context.Context, x *mat.Dense, y []float64, noIntercept bool, workers, groupRows int) ([]exec.GroupPartial[*GramPartial], float64, error) {
-	d := x.Cols()
-	kern := gramRowKernel(y, d, noIntercept)
-	return exec.ReduceRowGroups(gramScan(x.ScanCtx(ctx, workers), d, noIntercept, groupRows),
-		func() *GramPartial { return NewGramPartial(d, noIntercept) },
-		func(g *GramPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(g, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		MergeGram)
-}
-
-// ModelFromGram applies the ridge and solves the folded normal
-// equations by Cholesky — the closing arithmetic shared by the local
-// and distributed exact paths. n is the global row count (the ridge
-// is scaled by it).
-func ModelFromGram(total *GramPartial, n, d int, lambda float64, noIntercept bool) (*Model, error) {
-	p := d
-	if !noIntercept {
-		p++
-	}
-	gram, rhs := total.Gram, total.RHS
-	// Ridge on weights only.
-	for a := 0; a < d; a++ {
-		gram[a*p+a] += lambda * float64(n)
-	}
-	w, err := choleskySolve(gram, rhs, p)
+// Bind names and block-sizes the scan — each partial carries a p×p
+// block, so blocks hold at least ~p rows and the O(p²) zero+merge
+// amortizes to O(p) per row — and returns the normal-equation kernel.
+func (p gramPass) Bind(sh *exec.Shard, scan *exec.RowScan) (exec.Kernel[*gramPartial], error) {
+	y, err := targets(sh, 0, 0, p.D, scan.Cols)
 	if err != nil {
 		return nil, err
 	}
-	m := &Model{Weights: w[:d]}
-	if !noIntercept {
-		m.Intercept = w[d]
+	d, n, noIntercept := p.D, p.size(), p.NoIntercept
+	scan.Name = "linreg gram"
+	if minBytes := n * n * 8; minBytes > exec.DefaultBlockBytes {
+		scan.BlockBytes = minBytes
 	}
-	return m, nil
+	return func(g *gramPartial, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			row := block[(i-lo)*stride : (i-lo)*stride+d]
+			for a := 0; a < d; a++ {
+				va := row[a]
+				if va == 0 {
+					continue
+				}
+				blas.Axpy(va, row, g.Gram[a*n:a*n+d])
+				if !noIntercept {
+					g.Gram[a*n+d] += va
+				}
+				g.RHS[a] += va * y[i]
+			}
+			if !noIntercept {
+				blas.Axpy(1, row, g.Gram[d*n:d*n+d])
+				g.Gram[d*n+d]++
+				g.RHS[d] += y[i]
+			}
+		}
+	}, nil
 }
 
 // choleskySolve solves Ax=b for symmetric positive-definite A (n×n,

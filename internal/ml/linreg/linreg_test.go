@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"m3/internal/exec"
 	"m3/internal/mat"
 	"m3/internal/store"
 	"m3/internal/vm"
@@ -89,10 +90,15 @@ func TestTrainExactNoIntercept(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	x := mat.NewDense(3, 2)
-	if _, err := NewObjective(x, []float64{1, 2}, 0, true); err == nil {
+	// Targets are checked when the first pass binds to the shard.
+	obj, err := NewObjective(context.Background(), exec.Local(x, []float64{1, 2}, 0), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj.Eval(make([]float64, 3), make([]float64, 3)); obj.Err == nil {
 		t.Error("accepted target mismatch")
 	}
-	if _, err := NewObjective(x, []float64{1, 2, 3}, -1, true); err == nil {
+	if _, err := NewObjective(context.Background(), exec.Local(x, []float64{1, 2, 3}, 0), -1, true); err == nil {
 		t.Error("accepted negative lambda")
 	}
 	if _, err := TrainExact(context.Background(), x, []float64{1}, Options{}); err == nil {
@@ -102,7 +108,7 @@ func TestValidation(t *testing.T) {
 
 func TestObjectiveGradientNumeric(t *testing.T) {
 	x, y := planarData(30, 0.3)
-	obj, err := NewObjective(x, y, 0.05, true)
+	obj, err := NewObjective(context.Background(), exec.Local(x, y, 0), 0.05, true)
 	if err != nil {
 		t.Fatal(err)
 	}

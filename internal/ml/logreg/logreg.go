@@ -11,8 +11,10 @@ import (
 	"math"
 
 	"m3/internal/blas"
+	"m3/internal/exec"
 	"m3/internal/fit"
 	"m3/internal/mat"
+	"m3/internal/ml/preprocess"
 	"m3/internal/optimize"
 )
 
@@ -45,11 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// ResolveOptions applies the defaults Train would — exported so the
-// distributed coordinator builds its remote objective with the same
-// lambda and optimizer bounds a local fit uses.
-func ResolveOptions(opts Options) Options { return opts.withDefaults() }
 
 // Model is a trained binary logistic regression classifier.
 type Model struct {
@@ -157,41 +154,39 @@ func (o *Objective) Eval(params, grad []float64) float64 {
 	return loss
 }
 
-// Train fits a binary logistic regression model with L-BFGS. Every
-// objective evaluation is one blocked, worker-pooled pass over the
-// (possibly memory-mapped) data on the shared execution layer; the
-// model is bit-identical for every worker count and every storage
-// backend. ctx cancels the fit within one data block (the returned
-// error is then ctx.Err()).
+// Train fits a binary logistic regression model with L-BFGS on x
+// with 0/1 labels y. Every objective evaluation is one blocked,
+// worker-pooled pass over the (possibly memory-mapped) data; the model
+// is bit-identical for every worker count and every storage backend.
+// ctx cancels the fit within one data block (the returned error is
+// then ctx.Err()).
 func Train(ctx context.Context, x *mat.Dense, y []float64, opts Options) (*Model, error) {
+	return TrainPlane(ctx, exec.Local(x, y, opts.Workers), preprocess.BinaryRule{}, opts)
+}
+
+// TrainPlane is Train over a plane's rows, with 0/1 targets derived
+// from the raw labels by rule.
+func TrainPlane(ctx context.Context, pl exec.Plane, rule preprocess.BinaryRule, opts Options) (*Model, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	obj, err := NewParallelObjective(x, y, o.Lambda, !o.NoIntercept, o.Workers)
+	obj, err := NewParallelObjective(ctx, pl, rule, o.Lambda, !o.NoIntercept)
 	if err != nil {
 		return nil, err
 	}
-	obj.Ctx = ctx
-	return TrainWith(ctx, obj, x.Cols(), opts)
-}
-
-// TrainWith runs the L-BFGS driver over any objective using logreg's
-// parameterization ([w₀..w_{d-1}, b] with an intercept) — the half of
-// Train shared with the distributed path, so a coordinator driving a
-// RemoteObjective builds a Model through the exact optimizer steps a
-// local fit takes.
-func TrainWith(ctx context.Context, obj optimize.Objective, d int, opts Options) (*Model, error) {
-	o := opts.withDefaults()
-	x0 := make([]float64, obj.Dim())
-	res, err := optimize.LBFGS(ctx, obj, x0, optimize.LBFGSParams{
+	res, err := optimize.LBFGS(ctx, obj, make([]float64, obj.Dim()), optimize.LBFGSParams{
 		MaxIterations: o.MaxIterations,
 		GradTol:       o.GradTol,
 		Callback:      o.Hook("logreg"),
 	})
+	if obj.Err != nil {
+		return nil, obj.Err
+	}
 	if err != nil {
 		return nil, err
 	}
+	d := obj.pass.D
 	m := &Model{Weights: res.X[:d], Result: res}
 	if !o.NoIntercept {
 		m.Intercept = res.X[d]

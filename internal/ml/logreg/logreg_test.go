@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"m3/internal/exec"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
+	"m3/internal/ml/preprocess"
 	"m3/internal/store"
 	"m3/internal/vm"
 )
@@ -199,7 +201,7 @@ func TestSoftmaxGradient(t *testing.T) {
 		y[i] = int(v)
 	}
 	x := mat.NewDenseFrom(xs, 20, infimnist.Features)
-	obj, err := NewSoftmaxObjective(x, y, 10, 0.01, true)
+	obj, err := NewSoftmaxObjective(context.Background(), exec.Local(x, preprocess.FloatLabels(y), 0), 10, 0.01, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +230,20 @@ func TestSoftmaxGradient(t *testing.T) {
 
 func TestSoftmaxValidation(t *testing.T) {
 	x := mat.NewDense(2, 3)
-	if _, err := NewSoftmaxObjective(x, []int{0, 1}, 1, 0, true); err == nil {
+	plane := func(y ...float64) exec.Plane { return exec.Local(x, y, 0) }
+	if _, err := NewSoftmaxObjective(context.Background(), plane(0, 1), 1, 0, true); err == nil {
 		t.Error("accepted 1 class")
 	}
-	if _, err := NewSoftmaxObjective(x, []int{0}, 3, 0, true); err == nil {
-		t.Error("accepted mismatched labels")
-	}
-	if _, err := NewSoftmaxObjective(x, []int{0, 3}, 3, 0, true); err == nil {
-		t.Error("accepted out-of-range label")
+	// Labels are checked when the first pass binds to the shard.
+	for _, y := range [][]float64{{0}, {0, 3}} {
+		obj, err := NewSoftmaxObjective(context.Background(), plane(y...), 3, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj.Eval(make([]float64, obj.Dim()), make([]float64, obj.Dim()))
+		if obj.Err == nil {
+			t.Errorf("accepted labels %v", y)
+		}
 	}
 }
 

@@ -7,100 +7,138 @@ import (
 
 	"m3/internal/blas"
 	"m3/internal/exec"
-	"m3/internal/mat"
+	"m3/internal/ml/preprocess"
 )
 
-// ParallelObjective evaluates the binary logistic-regression loss on
-// the shared chunked-execution layer (internal/exec): the row space is
-// partitioned into page-aligned blocks, blocks run on a worker pool,
-// and per-block partial losses and gradients reduce in block order.
-// Because the partition never depends on the worker count, results
-// are bit-identical for any workers value (they may differ from the
-// serial Objective in the last bits, as any floating-point
-// re-association does).
-//
-// Backends whose accounting is unsafe under concurrency (the
-// simulated Paged store, trace recorders) are detected by the layer
-// and scanned with one worker — same blocks, same reduce, identical
-// numbers.
-type ParallelObjective struct {
-	x         *mat.Dense
-	y         []float64
-	lambda    float64
-	intercept bool
-	workers   int
+func init() { exec.RegisterPass[*gradPartial](gradPass{}) }
 
-	// Ctx, when non-nil, cancels data scans at block granularity; the
-	// optimizer driving this objective must watch the same context,
-	// because Eval's return value after cancellation is a discarded
-	// partial.
-	Ctx context.Context
+// ParallelObjective is the binary logistic loss over the rows of a
+// plane: every Eval is one gradPass — a blocked scan on one process,
+// or a broadcast round on a cluster — whose partials fold in global
+// row order, so L-BFGS takes the same steps on every plane, worker
+// count and storage backend. A failed pass (cancellation, bad labels,
+// a lost worker) is kept in Err and turns the loss into NaN, which
+// stops the optimizer; drivers check Err first.
+type ParallelObjective struct {
+	ctx    context.Context
+	plane  exec.Plane
+	pass   gradPass
+	n      int
+	lambda float64
+
+	// Err is the first pass failure.
+	Err error
 	// Stall accumulates simulated paging stall seconds across Evals.
 	Stall float64
 	// Scans counts full passes over the data.
 	Scans int
 }
 
-// GradPartial is one merge group's (or block's) contribution to the
-// binary logistic loss and gradient — the shardable aggregate a
-// distributed evaluation ships. Fields are exported for gob.
-type GradPartial struct {
+// NewParallelObjective returns the objective over pl's rows, with 0/1
+// targets derived from the raw labels by rule. ctx cancels its scans
+// within one block.
+func NewParallelObjective(ctx context.Context, pl exec.Plane, rule preprocess.BinaryRule, lambda float64, intercept bool) (*ParallelObjective, error) {
+	if lambda < 0 {
+		return nil, fmt.Errorf("logreg: negative lambda %v", lambda)
+	}
+	n, d := pl.Dims()
+	return &ParallelObjective{
+		ctx: ctx, plane: pl, n: n, lambda: lambda,
+		pass: gradPass{D: d, Intercept: intercept, Rule: rule},
+	}, nil
+}
+
+// Dim returns the parameter count.
+func (o *ParallelObjective) Dim() int { return o.pass.dim() }
+
+// Eval computes the loss and gradient with one pass over the plane.
+func (o *ParallelObjective) Eval(params, grad []float64) float64 {
+	if o.Err != nil {
+		return math.NaN()
+	}
+	p := o.pass
+	p.Params = params
+	total, stall, err := exec.Reduce(o.ctx, o.plane, p)
+	o.Stall += stall
+	o.Scans++
+	if err != nil {
+		o.Err = err
+		return math.NaN()
+	}
+	return finishGrad(total, o.n, p.D, o.lambda, p.Intercept, params, grad)
+}
+
+// gradPartial is one merge group's (or block's) contribution to the
+// binary logistic loss and gradient. Fields are exported for gob.
+type gradPartial struct {
 	Loss float64
 	Grad []float64 // d weights then bias
 }
 
-// NewGradPartial returns a zero partial for d features.
-func NewGradPartial(d int) *GradPartial { return &GradPartial{Grad: make([]float64, d+1)} }
+// gradPass evaluates the binary logistic objective at Params over
+// rows of width D, with targets derived by Rule.
+type gradPass struct {
+	Params    []float64
+	D         int
+	Intercept bool
+	Rule      preprocess.BinaryRule
+}
 
-// MergeGrad folds src into dst — the exact merge the local objective
-// uses, exported so a coordinator refolds shipped partials with the
-// same floating-point operations.
-func MergeGrad(dst, src *GradPartial) {
+// dim returns the parameter count: D weights plus the intercept.
+func (p gradPass) dim() int {
+	if p.Intercept {
+		return p.D + 1
+	}
+	return p.D
+}
+
+func (p gradPass) Zero() *gradPartial { return &gradPartial{Grad: make([]float64, p.D+1)} }
+
+func (p gradPass) Merge(dst, src *gradPartial) {
 	dst.Loss += src.Loss
 	blas.Axpy(1, src.Grad, dst.Grad)
 }
 
-// gradKernel returns the per-row accumulation at parameters (w, b).
-func gradKernel(y []float64, w []float64, b float64, d int) func(p *GradPartial, i int, row []float64) {
-	return func(p *GradPartial, i int, row []float64) {
-		z := blas.Dot(row, w) + b
-		prob, l := sigmoidLoss(z, y[i])
-		p.Loss += l
-		diff := prob - y[i]
-		blas.Axpy(diff, row, p.Grad[:d])
-		p.Grad[d] += diff
+func (p gradPass) Bind(sh *exec.Shard, scan *exec.RowScan) (exec.Kernel[*gradPartial], error) {
+	if err := checkDims(len(p.Params), p.dim(), p.D, scan.Cols); err != nil {
+		return nil, err
 	}
-}
-
-// GradGroups computes the per-merge-group loss/gradient partials of
-// the binary logistic objective at params — the worker half of a
-// distributed evaluation. groupRows must be the coordinator's global
-// group height (exec.GroupRows of the global row count) so the shard
-// partials align with the canonical grouped fold.
-func GradGroups(ctx context.Context, x *mat.Dense, y []float64, params []float64, intercept bool, workers, groupRows int) ([]exec.GroupPartial[*GradPartial], float64, error) {
-	d := x.Cols()
-	w := params[:d]
+	y, err := p.Rule.Targets(sh)
+	if err != nil {
+		return nil, err
+	}
+	scan.Name = "logreg grad"
+	d := p.D
+	w := p.Params[:d]
 	var b float64
-	if intercept {
-		b = params[d]
+	if p.Intercept {
+		b = p.Params[d]
 	}
-	scan := x.ScanCtx(ctx, workers).Named("logreg grad")
-	scan.GroupRows = groupRows
-	kern := gradKernel(y, w, b, d)
-	return exec.ReduceRowGroups(scan,
-		func() *GradPartial { return NewGradPartial(d) },
-		func(p *GradPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(p, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		MergeGrad)
+	return func(g *gradPartial, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			row := block[(i-lo)*stride : (i-lo)*stride+d]
+			z := blas.Dot(row, w) + b
+			prob, l := sigmoidLoss(z, y[i])
+			g.Loss += l
+			diff := prob - y[i]
+			blas.Axpy(diff, row, g.Grad[:d])
+			g.Grad[d] += diff
+		}
+	}, nil
 }
 
-// FinishGrad turns the folded total partial into the mean regularized
-// loss and gradient — the post-reduce arithmetic shared verbatim by
-// the local and distributed objectives.
-func FinishGrad(total *GradPartial, n, d int, lambda float64, intercept bool, params, grad []float64) float64 {
+// checkDims rejects a pass holding n parameters where it needs want,
+// or built for d features on rows of width cols.
+func checkDims(n, want, d, cols int) error {
+	if n != want || d != cols {
+		return fmt.Errorf("logreg: %d parameters (want %d) for %d features, on rows of %d", n, want, d, cols)
+	}
+	return nil
+}
+
+// finishGrad turns the folded total partial into the mean regularized
+// loss and gradient.
+func finishGrad(total *gradPartial, n, d int, lambda float64, intercept bool, params, grad []float64) float64 {
 	w := params[:d]
 	blas.Fill(grad, 0)
 	nf := float64(n)
@@ -114,96 +152,8 @@ func FinishGrad(total *GradPartial, n, d int, lambda float64, intercept bool, pa
 	return loss
 }
 
-// NewParallelObjective builds a block-parallel objective. workers <= 0
-// defers to the matrix's engine hint and then runtime.NumCPU(); the
-// execution layer clamps to the block count either way.
-func NewParallelObjective(x *mat.Dense, y []float64, lambda float64, intercept bool, workers int) (*ParallelObjective, error) {
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("logreg: %d rows but %d labels", x.Rows(), len(y))
-	}
-	for i, v := range y {
-		if v != 0 && v != 1 {
-			return nil, fmt.Errorf("logreg: label[%d] = %v, want 0 or 1", i, v)
-		}
-	}
-	if lambda < 0 {
-		return nil, fmt.Errorf("logreg: negative lambda %v", lambda)
-	}
-	return &ParallelObjective{x: x, y: y, lambda: lambda, intercept: intercept, workers: workers}, nil
-}
-
-// Workers returns the configured worker knob (0 = inherit).
-func (o *ParallelObjective) Workers() int { return o.workers }
-
-// Dim returns the parameter count.
-func (o *ParallelObjective) Dim() int {
-	d := o.x.Cols()
-	if o.intercept {
-		d++
-	}
-	return d
-}
-
-// Eval computes the loss and gradient with one blocked parallel pass.
-func (o *ParallelObjective) Eval(params, grad []float64) float64 {
-	d := o.x.Cols()
-	w := params[:d]
-	var b float64
-	if o.intercept {
-		b = params[d]
-	}
-
-	kern := gradKernel(o.y, w, b, d)
-	total, stall, _ := exec.ReduceRows(o.x.ScanCtx(o.Ctx, o.workers).Named("logreg grad"),
-		func() *GradPartial { return NewGradPartial(d) },
-		func(p *GradPartial, i int, row []float64) { kern(p, i, row) },
-		MergeGrad)
-	o.Stall += stall
-	o.Scans++
-	return FinishGrad(total, o.x.Rows(), d, o.lambda, o.intercept, params, grad)
-}
-
-// RemoteObjective is the distributed half of the objective: Dim and
-// the FinishGrad arithmetic are local, while the data reduction is
-// delegated to Reduce — a coordinator's broadcast-params,
-// gather-group-partials, refold-in-row-order round. Because Reduce
-// returns the same folded GradPartial bits the local scan produces,
-// L-BFGS over a RemoteObjective retraces the local optimization
-// exactly. A Reduce error is recorded in Err and surfaces as a NaN
-// loss, which stops the optimizer; drivers must check Err first.
-type RemoteObjective struct {
-	N, D      int
-	Lambda    float64
-	Intercept bool
-	Reduce    func(params []float64) (*GradPartial, error)
-	Err       error
-}
-
-// Dim implements optimize.Objective.
-func (o *RemoteObjective) Dim() int {
-	if o.Intercept {
-		return o.D + 1
-	}
-	return o.D
-}
-
-// Eval implements optimize.Objective via the remote reduction.
-func (o *RemoteObjective) Eval(params, grad []float64) float64 {
-	if o.Err != nil {
-		return math.NaN()
-	}
-	total, err := o.Reduce(params)
-	if err != nil {
-		o.Err = err
-		return math.NaN()
-	}
-	return FinishGrad(total, o.N, o.D, o.Lambda, o.Intercept, params, grad)
-}
-
 // sigmoidLoss returns (P(y=1|z), per-example log-loss) with the
-// numerically stable split on the sign of z. Train is block-parallel
-// through this objective; parallelism is configured with
-// Options.Workers (or the engine), not a separate entry point.
+// numerically stable split on the sign of z.
 func sigmoidLoss(z, y float64) (prob, loss float64) {
 	if z >= 0 {
 		ez := math.Exp(-z)

@@ -5,8 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"m3/internal/exec"
 	"m3/internal/infimnist"
 	"m3/internal/mat"
+	"m3/internal/ml/preprocess"
 )
 
 func TestParallelObjectiveMatchesSerial(t *testing.T) {
@@ -33,12 +35,9 @@ func TestParallelObjectiveMatchesSerial(t *testing.T) {
 	fs := serial.Eval(params, gs)
 
 	for _, workers := range []int{1, 2, 4, 7} {
-		par, err := NewParallelObjective(x, y, 0.01, true, workers)
+		par, err := NewParallelObjective(context.Background(), exec.Local(x, y, workers), preprocess.BinaryRule{}, 0.01, true)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if par.Workers() != workers {
-			t.Errorf("workers = %d want %d", par.Workers(), workers)
 		}
 		gp := make([]float64, par.Dim())
 		fp := par.Eval(params, gp)
@@ -68,7 +67,7 @@ func TestParallelObjectiveDeterministic(t *testing.T) {
 			y[i] = 1
 		}
 	}
-	par, err := NewParallelObjective(x, y, 0.01, true, 4)
+	par, err := NewParallelObjective(context.Background(), exec.Local(x, y, 4), preprocess.BinaryRule{}, 0.01, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,23 +101,35 @@ func TestTrainParallelLearns(t *testing.T) {
 
 func TestParallelValidation(t *testing.T) {
 	x := mat.NewDense(4, 2)
-	if _, err := NewParallelObjective(x, []float64{0, 1}, 0.1, true, 2); err == nil {
+	// Labels are checked when the first pass binds to the shard; the
+	// failure stops the optimizer through a NaN loss and is kept in Err.
+	evalErr := func(y []float64) error {
+		obj, err := NewParallelObjective(context.Background(), exec.Local(x, y, 2), preprocess.BinaryRule{}, 0.1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loss := obj.Eval(make([]float64, obj.Dim()), make([]float64, obj.Dim())); !math.IsNaN(loss) {
+			t.Errorf("loss %v on bad labels, want NaN", loss)
+		}
+		return obj.Err
+	}
+	if evalErr([]float64{0, 1}) == nil {
 		t.Error("accepted mismatched labels")
 	}
-	if _, err := NewParallelObjective(x, []float64{0, 1, 2, 0}, 0.1, true, 2); err == nil {
+	if evalErr([]float64{0, 1, 2, 0}) == nil {
 		t.Error("accepted label 2")
 	}
-	if _, err := NewParallelObjective(x, []float64{0, 1, 1, 0}, -1, true, 2); err == nil {
+	if _, err := NewParallelObjective(context.Background(), exec.Local(x, []float64{0, 1, 1, 0}, 2), preprocess.BinaryRule{}, -1, true); err == nil {
 		t.Error("accepted negative lambda")
 	}
-	// The workers knob is kept as configured; the execution layer
-	// clamps to the block count at scan time.
-	obj, err := NewParallelObjective(x, []float64{0, 1, 1, 0}, 0, true, 100)
+	// A pool larger than the partition is clamped by the execution
+	// layer at scan time.
+	obj, err := NewParallelObjective(context.Background(), exec.Local(x, []float64{0, 1, 1, 0}, 100), preprocess.BinaryRule{}, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obj.Workers() != 100 {
-		t.Errorf("workers = %d want 100 (exec clamps at scan time)", obj.Workers())
+	if loss := obj.Eval(make([]float64, obj.Dim()), make([]float64, obj.Dim())); math.IsNaN(loss) || obj.Err != nil {
+		t.Errorf("eval with 100 workers: loss %v, err %v", loss, obj.Err)
 	}
 }
 

@@ -9,156 +9,173 @@ import (
 	"m3/internal/exec"
 	"m3/internal/fit"
 	"m3/internal/mat"
+	"m3/internal/ml/preprocess"
 	"m3/internal/optimize"
 )
 
+func init() { exec.RegisterPass[*softmaxPartial](softmaxPass{}) }
+
 // SoftmaxObjective is the multinomial (softmax) generalization used
-// for the 10-class digit problem. Parameters are a row-major K×D
-// weight block followed by K biases when intercept is enabled.
+// for the 10-class digit problem, over the rows of a plane: every Eval
+// is one softmaxPass. Parameters are a row-major K×D weight block
+// followed by K biases when intercept is enabled. A failed pass is
+// kept in Err and turns the loss into NaN (see ParallelObjective).
 type SoftmaxObjective struct {
-	x         *mat.Dense
-	y         []int
-	classes   int
-	lambda    float64
-	intercept bool
-	// Workers sizes the chunked-execution pool per scan (<= 0: engine
-	// hint, then NumCPU). The result is bit-identical for every value.
-	Workers int
-	// Ctx, when non-nil, cancels data scans at block granularity.
-	Ctx context.Context
+	ctx    context.Context
+	plane  exec.Plane
+	pass   softmaxPass
+	n      int
+	lambda float64
+
+	// Err is the first pass failure.
+	Err error
 	// Stall accumulates simulated paging stall seconds.
 	Stall float64
 	// Scans counts full data passes.
 	Scans int
 }
 
-// NewSoftmaxObjective validates inputs; labels must be in [0, classes).
-func NewSoftmaxObjective(x *mat.Dense, y []int, classes int, lambda float64, intercept bool) (*SoftmaxObjective, error) {
+// NewSoftmaxObjective returns the objective over pl's rows, whose raw
+// labels must be class ids in [0, classes). ctx cancels its scans
+// within one block.
+func NewSoftmaxObjective(ctx context.Context, pl exec.Plane, classes int, lambda float64, intercept bool) (*SoftmaxObjective, error) {
 	if classes < 2 {
 		return nil, fmt.Errorf("logreg: need >= 2 classes, got %d", classes)
-	}
-	if x.Rows() != len(y) {
-		return nil, fmt.Errorf("logreg: %d rows but %d labels", x.Rows(), len(y))
-	}
-	for i, v := range y {
-		if v < 0 || v >= classes {
-			return nil, fmt.Errorf("logreg: label[%d] = %d outside [0,%d)", i, v, classes)
-		}
 	}
 	if lambda < 0 {
 		return nil, fmt.Errorf("logreg: negative lambda %v", lambda)
 	}
+	n, d := pl.Dims()
 	return &SoftmaxObjective{
-		x: x, y: y, classes: classes, lambda: lambda, intercept: intercept,
+		ctx: ctx, plane: pl, n: n, lambda: lambda,
+		pass: softmaxPass{D: d, Classes: classes, Intercept: intercept},
 	}, nil
 }
 
 // Dim returns K*D (+K with intercept).
-func (o *SoftmaxObjective) Dim() int {
-	d := o.classes * o.x.Cols()
-	if o.intercept {
-		d += o.classes
+func (o *SoftmaxObjective) Dim() int { return o.pass.dim() }
+
+// Eval computes mean cross-entropy plus L2 penalty in one pass over
+// the plane.
+func (o *SoftmaxObjective) Eval(params, grad []float64) float64 {
+	if o.Err != nil {
+		return math.NaN()
 	}
-	return d
+	p := o.pass
+	p.Params = params
+	total, stall, err := exec.Reduce(o.ctx, o.plane, p)
+	o.Stall += stall
+	o.Scans++
+	if err != nil {
+		o.Err = err
+		return math.NaN()
+	}
+	return finishSoftmax(total, o.n, p.D, p.Classes, o.lambda, p.Intercept, params, grad)
 }
 
-// SoftmaxPartial is one merge group's (or block's) share of the
-// cross-entropy loss and gradient — the shardable aggregate a
-// distributed evaluation ships. The scores scratch is per state and
+// softmaxPartial is one merge group's (or block's) share of the
+// cross-entropy loss and gradient. The scores scratch is per state and
 // unexported, so gob ships only the aggregate fields.
-type SoftmaxPartial struct {
+type softmaxPartial struct {
 	Loss   float64
 	Grad   []float64
 	scores []float64
 }
 
-// NewSoftmaxPartial returns a zero partial for a dim-parameter,
-// k-class objective.
-func NewSoftmaxPartial(dim, k int) *SoftmaxPartial {
-	return &SoftmaxPartial{Grad: make([]float64, dim), scores: make([]float64, k)}
+// softmaxPass evaluates the softmax objective at Params over rows of
+// width D with Classes classes.
+type softmaxPass struct {
+	Params     []float64
+	D, Classes int
+	Intercept  bool
 }
 
-// MergeSoftmax folds src into dst with the local objective's exact
-// merge operations.
-func MergeSoftmax(dst, src *SoftmaxPartial) {
+// dim returns the parameter count: K×D weights plus K biases.
+func (p softmaxPass) dim() int {
+	if p.Intercept {
+		return (p.D + 1) * p.Classes
+	}
+	return p.D * p.Classes
+}
+
+func (p softmaxPass) Zero() *softmaxPartial {
+	return &softmaxPartial{Grad: make([]float64, p.dim()), scores: make([]float64, p.Classes)}
+}
+
+func (p softmaxPass) Merge(dst, src *softmaxPartial) {
 	dst.Loss += src.Loss
 	blas.Axpy(1, src.Grad, dst.Grad)
 }
 
-// softmaxKernel returns the per-row accumulation at the given
-// parameter block (wAll row-major K×D, bias nil without intercept).
-func softmaxKernel(y []int, wAll, bias []float64, d, k int) func(p *SoftmaxPartial, i int, row []float64) {
-	return func(p *SoftmaxPartial, i int, row []float64) {
-		gw := p.Grad[:k*d]
-		// scores_c = w_c · row + b_c
-		maxScore := math.Inf(-1)
-		for c := 0; c < k; c++ {
-			s := blas.Dot(wAll[c*d:(c+1)*d], row)
-			if bias != nil {
-				s += bias[c]
-			}
-			p.scores[c] = s
-			if s > maxScore {
-				maxScore = s
-			}
-		}
-		// log-sum-exp with max shift
-		var sum float64
-		for c := 0; c < k; c++ {
-			p.scores[c] = math.Exp(p.scores[c] - maxScore)
-			sum += p.scores[c]
-		}
-		logSum := math.Log(sum) + maxScore
-		yi := y[i]
-		// loss_i = logSum - score_{yi}; recover shifted score.
-		p.Loss += logSum - (math.Log(p.scores[yi]) + maxScore)
-		inv := 1 / sum
-		for c := 0; c < k; c++ {
-			prob := p.scores[c] * inv
-			diff := prob
-			if c == yi {
-				diff -= 1
-			}
-			if diff != 0 {
-				blas.Axpy(diff, row, gw[c*d:(c+1)*d])
-				if bias != nil {
-					p.Grad[k*d+c] += diff
-				}
-			}
-		}
+func (p softmaxPass) Bind(sh *exec.Shard, scan *exec.RowScan) (exec.Kernel[*softmaxPartial], error) {
+	if p.Classes < 2 || p.Classes > len(p.Params) {
+		return nil, fmt.Errorf("logreg: %d classes for %d parameters", p.Classes, len(p.Params))
 	}
-}
-
-// SoftmaxGroups computes the per-merge-group partials of the softmax
-// objective at params — the worker half of a distributed evaluation.
-// groupRows must be the coordinator's global group height.
-func SoftmaxGroups(ctx context.Context, x *mat.Dense, y []int, classes int, params []float64, intercept bool, workers, groupRows int) ([]exec.GroupPartial[*SoftmaxPartial], float64, error) {
-	d := x.Cols()
-	k := classes
-	wAll := params[:k*d]
+	if err := checkDims(len(p.Params), p.dim(), p.D, scan.Cols); err != nil {
+		return nil, err
+	}
+	y, err := preprocess.ClassIDs(sh, p.Classes)
+	if err != nil {
+		return nil, err
+	}
+	scan.Name = "softmax grad"
+	d, k := p.D, p.Classes
+	wAll := p.Params[:k*d]
 	var bias []float64
-	dim := k * d
-	if intercept {
-		bias = params[k*d : k*d+k]
-		dim += k
+	if p.Intercept {
+		bias = p.Params[k*d : k*d+k]
 	}
-	scan := x.ScanCtx(ctx, workers).Named("softmax grad")
-	scan.GroupRows = groupRows
-	kern := softmaxKernel(y, wAll, bias, d, k)
-	return exec.ReduceRowGroups(scan,
-		func() *SoftmaxPartial { return NewSoftmaxPartial(dim, k) },
-		func(p *SoftmaxPartial, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				kern(p, i, block[(i-lo)*stride:(i-lo)*stride+d])
-			}
-		},
-		MergeSoftmax)
+	return func(s *softmaxPartial, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			softmaxRow(s, y[i], wAll, bias, block[(i-lo)*stride:(i-lo)*stride+d], d, k)
+		}
+	}, nil
 }
 
-// FinishSoftmax turns the folded total into the mean regularized loss
-// and gradient — post-reduce arithmetic shared by the local and
-// distributed objectives.
-func FinishSoftmax(total *SoftmaxPartial, n, d, k int, lambda float64, intercept bool, params, grad []float64) float64 {
+// softmaxRow accumulates one row of class yi at the given parameter
+// block (wAll row-major K×D, bias nil without intercept).
+func softmaxRow(p *softmaxPartial, yi int, wAll, bias, row []float64, d, k int) {
+	gw := p.Grad[:k*d]
+	// scores_c = w_c · row + b_c
+	maxScore := math.Inf(-1)
+	for c := 0; c < k; c++ {
+		s := blas.Dot(wAll[c*d:(c+1)*d], row)
+		if bias != nil {
+			s += bias[c]
+		}
+		p.scores[c] = s
+		if s > maxScore {
+			maxScore = s
+		}
+	}
+	// log-sum-exp with max shift
+	var sum float64
+	for c := 0; c < k; c++ {
+		p.scores[c] = math.Exp(p.scores[c] - maxScore)
+		sum += p.scores[c]
+	}
+	logSum := math.Log(sum) + maxScore
+	// loss_i = logSum - score_{yi}; recover shifted score.
+	p.Loss += logSum - (math.Log(p.scores[yi]) + maxScore)
+	inv := 1 / sum
+	for c := 0; c < k; c++ {
+		prob := p.scores[c] * inv
+		diff := prob
+		if c == yi {
+			diff -= 1
+		}
+		if diff != 0 {
+			blas.Axpy(diff, row, gw[c*d:(c+1)*d])
+			if bias != nil {
+				p.Grad[k*d+c] += diff
+			}
+		}
+	}
+}
+
+// finishSoftmax turns the folded total into the mean regularized loss
+// and gradient.
+func finishSoftmax(total *softmaxPartial, n, d, k int, lambda float64, intercept bool, params, grad []float64) float64 {
 	wAll := params[:k*d]
 	blas.Fill(grad, 0)
 	gw := grad[:k*d]
@@ -172,59 +189,6 @@ func FinishSoftmax(total *SoftmaxPartial, n, d, k int, lambda float64, intercept
 	loss += 0.5 * lambda * blas.Dot(wAll, wAll)
 	blas.Axpy(lambda, wAll, gw)
 	return loss
-}
-
-// RemoteSoftmaxObjective mirrors RemoteObjective for the multiclass
-// loss: local Dim/finish, remote reduction.
-type RemoteSoftmaxObjective struct {
-	N, D, Classes int
-	Lambda        float64
-	Intercept     bool
-	Reduce        func(params []float64) (*SoftmaxPartial, error)
-	Err           error
-}
-
-// Dim implements optimize.Objective.
-func (o *RemoteSoftmaxObjective) Dim() int {
-	dim := o.Classes * o.D
-	if o.Intercept {
-		dim += o.Classes
-	}
-	return dim
-}
-
-// Eval implements optimize.Objective via the remote reduction.
-func (o *RemoteSoftmaxObjective) Eval(params, grad []float64) float64 {
-	if o.Err != nil {
-		return math.NaN()
-	}
-	total, err := o.Reduce(params)
-	if err != nil {
-		o.Err = err
-		return math.NaN()
-	}
-	return FinishSoftmax(total, o.N, o.D, o.Classes, o.Lambda, o.Intercept, params, grad)
-}
-
-// Eval computes mean cross-entropy plus L2 penalty in one blocked
-// pass over the data on the shared execution layer.
-func (o *SoftmaxObjective) Eval(params, grad []float64) float64 {
-	d := o.x.Cols()
-	k := o.classes
-	wAll := params[:k*d]
-	var bias []float64
-	if o.intercept {
-		bias = params[k*d : k*d+k]
-	}
-
-	kern := softmaxKernel(o.y, wAll, bias, d, k)
-	total, stall, _ := exec.ReduceRows(o.x.ScanCtx(o.Ctx, o.Workers).Named("softmax grad"),
-		func() *SoftmaxPartial { return NewSoftmaxPartial(o.Dim(), k) },
-		func(p *SoftmaxPartial, i int, row []float64) { kern(p, i, row) },
-		MergeSoftmax)
-	o.Stall += stall
-	o.Scans++
-	return FinishSoftmax(total, o.x.Rows(), d, k, o.lambda, o.intercept, params, grad)
 }
 
 // SoftmaxModel is a trained multiclass classifier.
@@ -242,36 +206,34 @@ type SoftmaxModel struct {
 }
 
 // TrainSoftmax fits a K-class softmax regression model with L-BFGS on
-// blocked, worker-pooled data scans. ctx cancels the fit within one
-// data block.
+// blocked, worker-pooled data scans; labels must be in [0, classes).
+// ctx cancels the fit within one data block.
 func TrainSoftmax(ctx context.Context, x *mat.Dense, y []int, classes int, opts Options) (*SoftmaxModel, error) {
+	return TrainSoftmaxPlane(ctx, exec.Local(x, preprocess.FloatLabels(y), opts.Workers), classes, opts)
+}
+
+// TrainSoftmaxPlane is TrainSoftmax over a plane's rows.
+func TrainSoftmaxPlane(ctx context.Context, pl exec.Plane, classes int, opts Options) (*SoftmaxModel, error) {
 	o := opts.withDefaults()
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	obj, err := NewSoftmaxObjective(x, y, classes, o.Lambda, !o.NoIntercept)
+	obj, err := NewSoftmaxObjective(ctx, pl, classes, o.Lambda, !o.NoIntercept)
 	if err != nil {
 		return nil, err
 	}
-	obj.Workers = o.Workers
-	obj.Ctx = ctx
-	return TrainSoftmaxWith(ctx, obj, x.Cols(), classes, opts)
-}
-
-// TrainSoftmaxWith runs the softmax L-BFGS driver over any objective
-// with the package's parameterization — shared by the local and
-// distributed paths so both build identical SoftmaxModels.
-func TrainSoftmaxWith(ctx context.Context, obj optimize.Objective, d, classes int, opts Options) (*SoftmaxModel, error) {
-	o := opts.withDefaults()
-	x0 := make([]float64, obj.Dim())
-	res, err := optimize.LBFGS(ctx, obj, x0, optimize.LBFGSParams{
+	res, err := optimize.LBFGS(ctx, obj, make([]float64, obj.Dim()), optimize.LBFGSParams{
 		MaxIterations: o.MaxIterations,
 		GradTol:       o.GradTol,
 		Callback:      o.Hook("softmax"),
 	})
+	if obj.Err != nil {
+		return nil, obj.Err
+	}
 	if err != nil {
 		return nil, err
 	}
+	d := obj.pass.D
 	m := &SoftmaxModel{
 		Weights: res.X[:classes*d], Classes: classes, Features: d, Result: res,
 	}

@@ -8,6 +8,7 @@ package pca
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -94,6 +95,28 @@ func (r *Result) TransformInto(row, dst, centered []float64) {
 	}
 }
 
+// InCols, OutCols and BlockKernel make the decomposition a fused
+// pipeline stage (core.Stage) projecting D features onto K
+// components; each worker's kernel owns one centering buffer.
+func (r *Result) InCols() int  { return r.Components.Cols() }
+func (r *Result) OutCols() int { return r.Components.Rows() }
+func (r *Result) BlockKernel() exec.RowKernel {
+	centered := make([]float64, r.Components.Cols())
+	return func(dst, src []float64) []float64 {
+		r.TransformInto(src, dst, centered)
+		return dst
+	}
+}
+
+// Validate reports a decomposition whose basis and mean disagree, so
+// a stage decoded off the wire is checked before it is fused.
+func (r *Result) Validate() error {
+	if r == nil || r.Components == nil || r.Components.Rows() < 1 || len(r.Mean) != r.Components.Cols() {
+		return errors.New("pca: malformed decomposition")
+	}
+	return nil
+}
+
 // Reconstruct maps K projected coordinates back to feature space.
 func (r *Result) Reconstruct(coords []float64, dst []float64) {
 	k, d := r.Components.Dims()
@@ -106,11 +129,21 @@ func (r *Result) Reconstruct(coords []float64, dst []float64) {
 	}
 }
 
+func init() {
+	exec.RegisterPass[[]float64](meanPass{})
+	exec.RegisterPass[*covPartial](covPass{})
+}
+
 // Fit computes the decomposition. The data matrix is scanned exactly
 // twice (mean pass + covariance pass); all further work is on the
 // D×D covariance. ctx cancels either scan within one data block and
 // the power iteration between components.
 func Fit(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
+	return FitPlane(ctx, exec.Local(x, nil, opts.Workers), opts)
+}
+
+// FitPlane is Fit over a plane's rows.
+func FitPlane(ctx context.Context, pl exec.Plane, opts Options) (*Result, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
@@ -118,7 +151,7 @@ func Fit(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
 	if err := fit.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	n, d := x.Dims()
+	n, d := pl.Dims()
 	if o.Components > d {
 		return nil, fmt.Errorf("pca: %d components exceed %d features", o.Components, d)
 	}
@@ -126,12 +159,9 @@ func Fit(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("pca: need >= 2 rows, got %d", n)
 	}
 
-	// Pass 1: mean — blocked column sums (blas.SumRows per block) on
-	// the shared execution layer, merged in block order.
-	mean, _, err := exec.ReduceRowBlocks(x.ScanCtx(ctx, o.Workers).Named("pca mean"),
-		func() []float64 { return make([]float64, d) },
-		meanBlockKernel(d),
-		MergeSum)
+	// Pass 1: mean — blocked column sums (blas.SumRows per block),
+	// merged in row order.
+	mean, _, err := exec.Reduce(ctx, pl, meanPass{D: d})
 	if err != nil {
 		return nil, err
 	}
@@ -139,100 +169,79 @@ func Fit(ctx context.Context, x *mat.Dense, opts Options) (*Result, error) {
 
 	// Pass 2: covariance — per-block symmetric rank-1 accumulation
 	// (blas.Syr on the upper triangle), partial triangles merged in
-	// block order, then mirrored.
-	covst, _, err := exec.ReduceRowBlocks(covScan(x.ScanCtx(ctx, o.Workers), d, 0),
-		func() *CovPartial { return NewCovPartial(d) },
-		covBlockKernel(mean, d),
-		MergeCov)
+	// row order, then mirrored.
+	cov, _, err := exec.Reduce(ctx, pl, covPass{Mean: mean})
 	if err != nil {
 		return nil, err
 	}
-	return FinishFromCov(ctx, covst.Part, mean, n, o)
+	return finishFromCov(ctx, cov.Part, mean, n, o)
 }
 
-// meanBlockKernel returns the per-block column-sum accumulation.
-func meanBlockKernel(d int) func(sum []float64, lo, hi int, block []float64, stride int) {
+// meanPass sums the columns of rows of width D; divide the folded
+// total by the row count to obtain the mean.
+type meanPass struct{ D int }
+
+func (p meanPass) Zero() []float64          { return make([]float64, p.D) }
+func (p meanPass) Merge(dst, src []float64) { blas.Axpy(1, src, dst) }
+
+func (p meanPass) Bind(_ *exec.Shard, scan *exec.RowScan) (exec.Kernel[[]float64], error) {
+	if p.D != scan.Cols {
+		return nil, fmt.Errorf("pca: mean pass for %d features on rows of %d", p.D, scan.Cols)
+	}
+	scan.Name = "pca mean"
+	d := p.D
 	return func(sum []float64, lo, hi int, block []float64, stride int) {
 		blas.SumRows(hi-lo, d, block, stride, sum)
-	}
+	}, nil
 }
 
-// MergeSum folds a column-sum partial into dst — the mean pass's
-// merge, exported for distributed refolds.
-func MergeSum(dst, src []float64) { blas.Axpy(1, src, dst) }
-
-// MeanGroups computes per-merge-group column-sum partials — the
-// worker half of a distributed mean pass. groupRows must be the
-// coordinator's global group height. Divide the refolded total by the
-// global row count to obtain the mean.
-func MeanGroups(ctx context.Context, x *mat.Dense, workers, groupRows int) ([]exec.GroupPartial[[]float64], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("pca mean")
-	scan.GroupRows = groupRows
-	return exec.ReduceRowGroups(scan,
-		func() []float64 { return make([]float64, d) },
-		meanBlockKernel(d),
-		MergeSum)
-}
-
-// CovPartial is one merge group's (or block's) share of the centered
+// covPartial is one merge group's (or block's) share of the centered
 // scatter matrix (upper triangle). The centering buffer is per-state
 // scratch and unexported, so gob ships only the aggregate.
-type CovPartial struct {
+type covPartial struct {
 	Part     []float64
 	centered []float64
 }
 
-// NewCovPartial returns a zero partial for d features.
-func NewCovPartial(d int) *CovPartial {
-	return &CovPartial{Part: make([]float64, d*d), centered: make([]float64, d)}
+// covPass accumulates the scatter of rows about Mean.
+type covPass struct{ Mean []float64 }
+
+func (p covPass) Zero() *covPartial {
+	d := len(p.Mean)
+	return &covPartial{Part: make([]float64, d*d), centered: make([]float64, d)}
 }
 
-// MergeCov folds src into dst with the local scan's exact merge.
-func MergeCov(dst, src *CovPartial) { blas.Axpy(1, src.Part, dst.Part) }
+func (p covPass) Merge(dst, src *covPartial) { blas.Axpy(1, src.Part, dst.Part) }
 
-// covScan labels and block-sizes a covariance scan: each partial is a
-// d×d matrix, so blocks are sized to hold at least ~d rows and the
-// O(d²) zero+merge amortizes to O(d) per row.
-func covScan(scan exec.RowScan, d, groupRows int) exec.RowScan {
-	scan = scan.Named("pca cov")
-	scan.GroupRows = groupRows
+// Bind names and block-sizes the scan — each partial is a d×d matrix,
+// so blocks hold at least ~d rows and the O(d²) zero+merge amortizes
+// to O(d) per row — and returns the scatter kernel. The centering
+// buffer lives in the state, not the kernel: fused scans deliver
+// single-row blocks, so a per-call allocation would be per row.
+func (p covPass) Bind(_ *exec.Shard, scan *exec.RowScan) (exec.Kernel[*covPartial], error) {
+	d := len(p.Mean)
+	if d != scan.Cols {
+		return nil, fmt.Errorf("pca: covariance pass for %d features on rows of %d", d, scan.Cols)
+	}
+	scan.Name = "pca cov"
 	if minBytes := d * d * 8; minBytes > exec.DefaultBlockBytes {
 		scan.BlockBytes = minBytes
 	}
-	return scan
-}
-
-// covBlockKernel returns the per-block scatter accumulation at the
-// given mean. The centering buffer lives in the reduce state, not the
-// block closure: fused scans deliver single-row blocks, so a per-call
-// allocation here would be a per-row allocation.
-func covBlockKernel(mean []float64, d int) func(st *CovPartial, lo, hi int, block []float64, stride int) {
-	return func(st *CovPartial, lo, hi int, block []float64, stride int) {
+	mean := p.Mean
+	return func(st *covPartial, lo, hi int, block []float64, stride int) {
 		for i := lo; i < hi; i++ {
 			row := block[(i-lo)*stride : (i-lo)*stride+d]
 			blas.AddScaled(st.centered, row, -1, mean)
 			blas.Syr(d, 1, st.centered, st.Part, d)
 		}
-	}
+	}, nil
 }
 
-// CovGroups computes per-merge-group scatter partials at the given
-// mean — the worker half of a distributed covariance pass. groupRows
-// must be the coordinator's global group height.
-func CovGroups(ctx context.Context, x *mat.Dense, mean []float64, workers, groupRows int) ([]exec.GroupPartial[*CovPartial], float64, error) {
-	d := x.Cols()
-	return exec.ReduceRowGroups(covScan(x.ScanCtx(ctx, workers), d, groupRows),
-		func() *CovPartial { return NewCovPartial(d) },
-		covBlockKernel(mean, d),
-		MergeCov)
-}
-
-// FinishFromCov normalizes the folded scatter into the covariance and
+// finishFromCov normalizes the folded scatter into the covariance and
 // runs the orthogonal power iteration — everything after the data
-// passes, shared by the local and distributed paths. cov is consumed
-// (normalized in place); opts must already carry defaults.
-func FinishFromCov(ctx context.Context, cov, mean []float64, n int, o Options) (*Result, error) {
+// passes. cov is consumed (normalized in place); opts must already
+// carry defaults.
+func finishFromCov(ctx context.Context, cov, mean []float64, n int, o Options) (*Result, error) {
 	d := len(mean)
 	inv := 1 / float64(n-1)
 	var total float64
@@ -308,10 +317,6 @@ func FinishFromCov(ctx context.Context, cov, mean []float64, n int, o Options) (
 	}
 	return res, nil
 }
-
-// ResolveOptions applies the defaults Fit would — exported so the
-// distributed path validates and defaults identically.
-func ResolveOptions(opts Options) (Options, error) { return opts.withDefaults() }
 
 // orthogonalize removes the projections of v onto the first k rows of
 // basis (Gram–Schmidt step).

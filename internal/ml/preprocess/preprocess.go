@@ -12,6 +12,7 @@ package preprocess
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -19,6 +20,11 @@ import (
 	"m3/internal/fit"
 	"m3/internal/mat"
 )
+
+func init() {
+	exec.RegisterPass[*moments](momentsPass{})
+	exec.RegisterPass[*extrema](extremaPass{})
+}
 
 // Options configures a fitting scan.
 type Options struct {
@@ -35,23 +41,22 @@ type StandardScaler struct {
 	Std  []float64
 }
 
-// Moments is one merge group's (or block's) share of the per-feature
+// moments is one merge group's (or block's) share of the per-feature
 // running statistics (Welford within the block, Chan-style combine
-// across blocks) — the shardable aggregate of a standard-scaler fit.
-// Fields are exported for gob.
-type Moments struct {
+// across blocks). Fields are exported for gob.
+type moments struct {
 	Count float64
 	Mean  []float64
 	M2    []float64
 }
 
-// NewMoments returns a zero moments state for d features.
-func NewMoments(d int) *Moments {
-	return &Moments{Mean: make([]float64, d), M2: make([]float64, d)}
+// newMoments returns a zero moments state for d features.
+func newMoments(d int) *moments {
+	return &moments{Mean: make([]float64, d), M2: make([]float64, d)}
 }
 
 // Add accumulates one row (Welford update).
-func (m *Moments) Add(row []float64) {
+func (m *moments) Add(row []float64) {
 	m.Count++
 	for j, v := range row {
 		delta := v - m.Mean[j]
@@ -60,10 +65,10 @@ func (m *Moments) Add(row []float64) {
 	}
 }
 
-// MergeMoments folds src into dst with the parallel-variance combine
+// mergeMoments folds src into dst with the parallel-variance combine
 // (Chan, Golub & LeVeque): exact for counts, associative enough that
 // the fixed block-order reduction is deterministic.
-func MergeMoments(dst, src *Moments) {
+func mergeMoments(dst, src *moments) {
 	if src.Count == 0 {
 		return
 	}
@@ -82,35 +87,33 @@ func MergeMoments(dst, src *Moments) {
 	dst.Count = n
 }
 
-// MomentGroups computes the per-merge-group moment partials — the
-// worker half of a distributed scaler fit. groupRows must be the
-// coordinator's global group height.
-func MomentGroups(ctx context.Context, x *mat.Dense, workers, groupRows int) ([]exec.GroupPartial[*Moments], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("scaler moments")
-	scan.GroupRows = groupRows
-	return exec.ReduceRowGroups(scan,
-		func() *Moments { return NewMoments(d) },
-		func(m *Moments, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				m.Add(block[(i-lo)*stride : (i-lo)*stride+d])
-			}
-		},
-		MergeMoments)
+// momentsPass is the standard scaler's single data pass over rows of
+// width D.
+type momentsPass struct{ D int }
+
+func (p momentsPass) Zero() *moments          { return newMoments(p.D) }
+func (p momentsPass) Merge(dst, src *moments) { mergeMoments(dst, src) }
+
+func (p momentsPass) Bind(_ *exec.Shard, scan *exec.RowScan) (exec.Kernel[*moments], error) {
+	if err := checkWidth(p.D, scan.Cols); err != nil {
+		return nil, err
+	}
+	scan.Name = "scaler moments"
+	d := p.D
+	return func(m *moments, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			m.Add(block[(i-lo)*stride : (i-lo)*stride+d])
+		}
+	}, nil
 }
 
-// StandardFromMoments closes a standard-scaler fit over the folded
-// moments — the arithmetic shared by the local and distributed paths.
-func StandardFromMoments(acc *Moments) *StandardScaler {
-	d := len(acc.Mean)
-	std := make([]float64, d)
-	for j := range std {
-		std[j] = math.Sqrt(acc.M2[j] / acc.Count)
-		if std[j] < 1e-12 {
-			std[j] = 1 // constant feature: leave centered at zero
-		}
+// checkWidth rejects a pass built for rows of width d on rows of width
+// cols.
+func checkWidth(d, cols int) error {
+	if d != cols {
+		return fmt.Errorf("preprocess: pass for %d features on rows of %d", d, cols)
 	}
-	return &StandardScaler{Mean: acc.Mean, Std: std}
+	return nil
 }
 
 // FitStandard computes per-feature mean and standard deviation in one
@@ -118,18 +121,27 @@ func StandardFromMoments(acc *Moments) *StandardScaler {
 // streams; block partials merge in ascending block order). ctx cancels
 // the scan within one data block.
 func FitStandard(ctx context.Context, x *mat.Dense, opts Options) (*StandardScaler, error) {
-	n, d := x.Dims()
+	return FitStandardPlane(ctx, exec.Local(x, nil, opts.Workers))
+}
+
+// FitStandardPlane is FitStandard over a plane's rows.
+func FitStandardPlane(ctx context.Context, pl exec.Plane) (*StandardScaler, error) {
+	n, d := pl.Dims()
 	if n < 2 {
 		return nil, fmt.Errorf("preprocess: need >= 2 rows, got %d", n)
 	}
-	acc, _, err := exec.ReduceRows(x.ScanCtx(ctx, opts.Workers).Named("scaler moments"),
-		func() *Moments { return NewMoments(d) },
-		func(m *Moments, i int, row []float64) { m.Add(row) },
-		MergeMoments)
+	acc, _, err := exec.Reduce(ctx, pl, momentsPass{D: d})
 	if err != nil {
 		return nil, err
 	}
-	return StandardFromMoments(acc), nil
+	std := make([]float64, d)
+	for j := range std {
+		std[j] = math.Sqrt(acc.M2[j] / acc.Count)
+		if std[j] < 1e-12 {
+			std[j] = 1 // constant feature: leave centered at zero
+		}
+	}
+	return &StandardScaler{Mean: acc.Mean, Std: std}, nil
 }
 
 // TransformRow standardizes one row in place.
@@ -158,6 +170,28 @@ func (s *StandardScaler) Transform(x *mat.Dense) error {
 	return nil
 }
 
+// InCols, OutCols and BlockKernel make the scaler a fused pipeline
+// stage (core.Stage): each worker's kernel standardizes a row into its
+// buffer.
+func (s *StandardScaler) InCols() int  { return len(s.Mean) }
+func (s *StandardScaler) OutCols() int { return len(s.Mean) }
+func (s *StandardScaler) BlockKernel() exec.RowKernel {
+	return func(dst, src []float64) []float64 {
+		copy(dst, src)
+		s.TransformRow(dst)
+		return dst
+	}
+}
+
+// Validate reports statistics that do not describe one row width, so
+// a stage decoded off the wire is checked before it is fused.
+func (s *StandardScaler) Validate() error {
+	if s == nil || len(s.Mean) == 0 || len(s.Std) != len(s.Mean) {
+		return errors.New("preprocess: malformed standard scaler")
+	}
+	return nil
+}
+
 // MinMaxScaler maps features into [0, 1] by observed range.
 type MinMaxScaler struct {
 	// Min and Range are per-feature; Range entries are floored so
@@ -166,16 +200,15 @@ type MinMaxScaler struct {
 	Range []float64
 }
 
-// Extrema is one merge group's (or block's) per-feature minima and
-// maxima — the shardable aggregate of a min-max fit. Fields are
-// exported for gob.
-type Extrema struct {
+// extrema is one merge group's (or block's) per-feature minima and
+// maxima. Fields are exported for gob.
+type extrema struct {
 	Lo, Hi []float64
 }
 
-// NewExtrema returns an identity extrema state for d features.
-func NewExtrema(d int) *Extrema {
-	e := &Extrema{Lo: make([]float64, d), Hi: make([]float64, d)}
+// newExtrema returns an identity extrema state for d features.
+func newExtrema(d int) *extrema {
+	e := &extrema{Lo: make([]float64, d), Hi: make([]float64, d)}
 	for j := 0; j < d; j++ {
 		e.Lo[j] = math.Inf(1)
 		e.Hi[j] = math.Inf(-1)
@@ -184,7 +217,7 @@ func NewExtrema(d int) *Extrema {
 }
 
 // Add accumulates one row.
-func (e *Extrema) Add(row []float64) {
+func (e *extrema) Add(row []float64) {
 	for j, v := range row {
 		if v < e.Lo[j] {
 			e.Lo[j] = v
@@ -195,8 +228,8 @@ func (e *Extrema) Add(row []float64) {
 	}
 }
 
-// MergeExtrema folds src into dst (min/max are exactly associative).
-func MergeExtrema(dst, src *Extrema) {
+// mergeExtrema folds src into dst (min/max are exactly associative).
+func mergeExtrema(dst, src *extrema) {
 	for j := range dst.Lo {
 		if src.Lo[j] < dst.Lo[j] {
 			dst.Lo[j] = src.Lo[j]
@@ -207,35 +240,24 @@ func MergeExtrema(dst, src *Extrema) {
 	}
 }
 
-// ExtremaGroups computes the per-merge-group extrema partials — the
-// worker half of a distributed min-max fit. groupRows must be the
-// coordinator's global group height.
-func ExtremaGroups(ctx context.Context, x *mat.Dense, workers, groupRows int) ([]exec.GroupPartial[*Extrema], float64, error) {
-	d := x.Cols()
-	scan := x.ScanCtx(ctx, workers).Named("minmax extrema")
-	scan.GroupRows = groupRows
-	return exec.ReduceRowGroups(scan,
-		func() *Extrema { return NewExtrema(d) },
-		func(e *Extrema, lo, hi int, block []float64, stride int) {
-			for i := lo; i < hi; i++ {
-				e.Add(block[(i-lo)*stride : (i-lo)*stride+d])
-			}
-		},
-		MergeExtrema)
-}
+// extremaPass is the min-max scaler's single data pass over rows of
+// width D.
+type extremaPass struct{ D int }
 
-// MinMaxFromExtrema closes a min-max fit over the folded extrema —
-// the arithmetic shared by the local and distributed paths.
-func MinMaxFromExtrema(acc *Extrema) *MinMaxScaler {
-	d := len(acc.Lo)
-	rng := make([]float64, d)
-	for j := range rng {
-		rng[j] = acc.Hi[j] - acc.Lo[j]
-		if rng[j] < 1e-12 {
-			rng[j] = 1
-		}
+func (p extremaPass) Zero() *extrema          { return newExtrema(p.D) }
+func (p extremaPass) Merge(dst, src *extrema) { mergeExtrema(dst, src) }
+
+func (p extremaPass) Bind(_ *exec.Shard, scan *exec.RowScan) (exec.Kernel[*extrema], error) {
+	if err := checkWidth(p.D, scan.Cols); err != nil {
+		return nil, err
 	}
-	return &MinMaxScaler{Min: acc.Lo, Range: rng}
+	scan.Name = "minmax extrema"
+	d := p.D
+	return func(e *extrema, lo, hi int, block []float64, stride int) {
+		for i := lo; i < hi; i++ {
+			e.Add(block[(i-lo)*stride : (i-lo)*stride+d])
+		}
+	}, nil
 }
 
 // FitMinMax computes per-feature minima and ranges in one blocked scan
@@ -243,18 +265,27 @@ func MinMaxFromExtrema(acc *Extrema) *MinMaxScaler {
 // are exactly associative, so the result equals the sequential scan
 // bit for bit). ctx cancels the scan within one data block.
 func FitMinMax(ctx context.Context, x *mat.Dense, opts Options) (*MinMaxScaler, error) {
-	n, d := x.Dims()
+	return FitMinMaxPlane(ctx, exec.Local(x, nil, opts.Workers))
+}
+
+// FitMinMaxPlane is FitMinMax over a plane's rows.
+func FitMinMaxPlane(ctx context.Context, pl exec.Plane) (*MinMaxScaler, error) {
+	n, d := pl.Dims()
 	if n < 1 {
 		return nil, fmt.Errorf("preprocess: empty matrix")
 	}
-	acc, _, err := exec.ReduceRows(x.ScanCtx(ctx, opts.Workers).Named("minmax extrema"),
-		func() *Extrema { return NewExtrema(d) },
-		func(e *Extrema, i int, row []float64) { e.Add(row) },
-		MergeExtrema)
+	acc, _, err := exec.Reduce(ctx, pl, extremaPass{D: d})
 	if err != nil {
 		return nil, err
 	}
-	return MinMaxFromExtrema(acc), nil
+	rng := make([]float64, d)
+	for j := range rng {
+		rng[j] = acc.Hi[j] - acc.Lo[j]
+		if rng[j] < 1e-12 {
+			rng[j] = 1
+		}
+	}
+	return &MinMaxScaler{Min: acc.Lo, Range: rng}, nil
 }
 
 // TransformRow rescales one row in place.
@@ -267,6 +298,84 @@ func (s *MinMaxScaler) TransformRow(row []float64) {
 	}
 }
 
+// InCols, OutCols and BlockKernel make the scaler a fused pipeline
+// stage (core.Stage).
+func (s *MinMaxScaler) InCols() int  { return len(s.Min) }
+func (s *MinMaxScaler) OutCols() int { return len(s.Min) }
+func (s *MinMaxScaler) BlockKernel() exec.RowKernel {
+	return func(dst, src []float64) []float64 {
+		copy(dst, src)
+		s.TransformRow(dst)
+		return dst
+	}
+}
+
+// Validate reports statistics that do not describe one row width.
+func (s *MinMaxScaler) Validate() error {
+	if s == nil || len(s.Min) == 0 || len(s.Range) != len(s.Min) {
+		return errors.New("preprocess: malformed min-max scaler")
+	}
+	return nil
+}
+
+// BinaryRule turns raw labels into 0/1 targets: with Binarize set,
+// labels equal to Positive become 1 and all others 0 (the paper's
+// "digit d vs rest" tasks); otherwise labels must already be 0 or 1.
+type BinaryRule struct {
+	Binarize bool
+	Positive float64
+}
+
+// Targets returns the shard's 0/1 targets, derived once per fit.
+func (r BinaryRule) Targets(sh *exec.Shard) ([]float64, error) {
+	return exec.Cached(sh, r, func() ([]float64, error) {
+		y, err := RawLabels(sh)
+		if err != nil {
+			return nil, err
+		}
+		if r.Binarize {
+			return BinaryLabels(y, r.Positive), nil
+		}
+		for i, v := range y {
+			if v != 0 && v != 1 {
+				return nil, fmt.Errorf("preprocess: label[%d] = %v, want 0 or 1", sh.Lo+i, v)
+			}
+		}
+		return y, nil
+	})
+}
+
+// classKey caches a shard's class ids by class count.
+type classKey int
+
+// ClassIDs returns the shard's labels as class ids in [0, classes),
+// derived once per fit.
+func ClassIDs(sh *exec.Shard, classes int) ([]int, error) {
+	return exec.Cached(sh, classKey(classes), func() ([]int, error) {
+		raw, err := RawLabels(sh)
+		if err != nil {
+			return nil, err
+		}
+		y, err := IntLabels(raw, classes)
+		if err != nil && sh.Lo > 0 {
+			err = fmt.Errorf("rows from %d: %w", sh.Lo, err)
+		}
+		return y, err
+	})
+}
+
+// RawLabels returns the shard's labels, checking there is one per row.
+func RawLabels(sh *exec.Shard) ([]float64, error) {
+	n, _ := sh.X.Dims()
+	if sh.Labels == nil {
+		return nil, errors.New("preprocess: dataset has no labels")
+	}
+	if len(sh.Labels) != n {
+		return nil, fmt.Errorf("preprocess: %d rows but %d labels", n, len(sh.Labels))
+	}
+	return sh.Labels, nil
+}
+
 // BinaryLabels converts multiclass labels to a 0/1 vector marking the
 // positive class — the "digit d vs rest" tasks of the experiments.
 func BinaryLabels(labels []float64, positive float64) []float64 {
@@ -276,6 +385,16 @@ func BinaryLabels(labels []float64, positive float64) []float64 {
 		if v == positive {
 			out[i] = 1
 		}
+	}
+	return out
+}
+
+// FloatLabels converts class ids to the raw float label form a
+// dataset file carries.
+func FloatLabels(y []int) []float64 {
+	out := make([]float64, len(y))
+	for i, c := range y {
+		out[i] = float64(c)
 	}
 	return out
 }

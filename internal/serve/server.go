@@ -112,11 +112,6 @@ func NewServer(reg *Registry, cfg Config) *Server {
 // Handler returns the route multiplexer.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ObsRegistry returns the server's metrics registry — what GET
-// /metrics exposes in Prometheus text. Useful for embedding the
-// server's counters into another report (m3bench serve records).
-func (s *Server) ObsRegistry() *obs.Registry { return s.obsReg }
-
 // Drain begins graceful shutdown: health flips to 503 (so load
 // balancers stop routing here), new predictions are refused, and the
 // call blocks until every in-flight batch has been answered.

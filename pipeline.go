@@ -131,7 +131,7 @@ func (p Pipeline) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 			// Fuse: extend the virtual view — no materialization, no
 			// extra pass. Nested views compose down to one chain, so
 			// the source is still read once per row.
-			next, err := core.FusedDataset(cur, []core.BlockTransformer{bt})
+			next, err := core.FusedDataset(ctx, cur, []core.Stage{bt})
 			if err != nil {
 				return nil, errors.Join(fmt.Errorf("m3: pipeline stage %d: %w", i, err), release())
 			}
@@ -166,7 +166,7 @@ func (p Pipeline) Fit(ctx context.Context, ds *Dataset) (Model, error) {
 	// Classify the final estimator: bounded-pass trainers stream off
 	// the fused view; multi-epoch trainers get the transformed matrix
 	// materialized exactly once, by a single fused pass.
-	if cur.X.IsFused() && !isStreamingFit(p.Estimator) {
+	if cur.Fused() && !isStreamingFit(p.Estimator) {
 		cache, err := func() (*Dataset, error) {
 			sp := obs.StartSpan("pipeline", "materialize cache")
 			defer sp.End()
@@ -257,16 +257,16 @@ func (f *FittedPipeline) Predict(row []float64) float64 {
 	return f.final.Predict(row)
 }
 
-// blockChain returns the stage chain as BlockTransformers, or nil if
-// any stage lacks a block kernel.
-func (f *FittedPipeline) blockChain() []core.BlockTransformer {
-	chain := make([]core.BlockTransformer, len(f.stages))
+// blockChain returns the stage chain's block kernels, or nil if any
+// stage lacks one.
+func (f *FittedPipeline) blockChain() []core.Stage {
+	chain := make([]core.Stage, len(f.stages))
 	for i, s := range f.stages {
-		bt, ok := s.(core.BlockTransformer)
+		st, ok := s.(core.Stage)
 		if !ok {
 			return nil
 		}
-		chain[i] = bt
+		chain[i] = st
 	}
 	return chain
 }

@@ -20,7 +20,7 @@ package m3
 
 import (
 	"context"
-	"errors"
+	"encoding/gob"
 	"fmt"
 
 	"m3/internal/core"
@@ -48,10 +48,7 @@ type BlockTransformer = core.BlockTransformer
 // transformDataset validates the input width and runs the shared
 // Engine-mediated materialization pass (core.TransformDataset).
 func transformDataset(ctx context.Context, ds *Dataset, wantCols, outCols, workers int, newFn func() core.RowKernel) (*Dataset, error) {
-	if ds == nil || ds.X == nil {
-		return nil, errors.New("m3: nil dataset")
-	}
-	if ds.X.Cols() != wantCols {
+	if ds != nil && ds.X != nil && ds.X.Cols() != wantCols {
 		return nil, fmt.Errorf("m3: dataset has %d features, transformer wants %d", ds.X.Cols(), wantCols)
 	}
 	return core.TransformDataset(ctx, ds, outCols, workers, newFn)
@@ -71,6 +68,15 @@ func stageFunc(s TransformerModel) func(src []float64) []float64 {
 	return s.TransformRow
 }
 
+// The fitted stages embed the inner ml types, whose block kernels make
+// them BlockTransformers. A pipeline fitted on a cluster ships them to
+// the workers, so gob must know them.
+func init() {
+	gob.Register(&FittedStandardScaler{})
+	gob.Register(&FittedMinMaxScaler{})
+	gob.Register(&FittedPCA{})
+}
+
 // --- Standard scaler --------------------------------------------------
 
 // StandardScaler estimates per-feature mean and standard deviation in
@@ -86,7 +92,7 @@ type StandardScaler struct {
 func (e StandardScaler) FitTransform(ctx context.Context, ds *Dataset) (TransformerModel, error) {
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	s, err := preprocess.FitStandard(ctx, ds.X, opts)
+	s, err := preprocess.FitStandardPlane(ctx, ds.Plane(opts.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -115,22 +121,6 @@ func (f *FittedStandardScaler) TransformRow(row []float64) []float64 {
 	out := append([]float64(nil), row...)
 	f.StandardScaler.TransformRow(out)
 	return out
-}
-
-// InCols implements BlockTransformer.
-func (f *FittedStandardScaler) InCols() int { return f.NumFeatures() }
-
-// OutCols implements BlockTransformer.
-func (f *FittedStandardScaler) OutCols() int { return f.NumFeatures() }
-
-// BlockKernel implements BlockTransformer: per-worker standardization
-// with no allocation beyond the caller's destination row.
-func (f *FittedStandardScaler) BlockKernel() core.RowKernel {
-	return func(dst, src []float64) []float64 {
-		copy(dst, src)
-		f.StandardScaler.TransformRow(dst)
-		return dst
-	}
 }
 
 // Predict returns the first standardized coordinate (the scalar
@@ -164,7 +154,7 @@ type MinMaxScaler struct {
 func (e MinMaxScaler) FitTransform(ctx context.Context, ds *Dataset) (TransformerModel, error) {
 	opts := e.Options
 	opts.Workers = opts.ResolveWorkers(ds.Workers)
-	s, err := preprocess.FitMinMax(ctx, ds.X, opts)
+	s, err := preprocess.FitMinMaxPlane(ctx, ds.Plane(opts.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -193,22 +183,6 @@ func (f *FittedMinMaxScaler) TransformRow(row []float64) []float64 {
 	out := append([]float64(nil), row...)
 	f.MinMaxScaler.TransformRow(out)
 	return out
-}
-
-// InCols implements BlockTransformer.
-func (f *FittedMinMaxScaler) InCols() int { return f.NumFeatures() }
-
-// OutCols implements BlockTransformer.
-func (f *FittedMinMaxScaler) OutCols() int { return f.NumFeatures() }
-
-// BlockKernel implements BlockTransformer: per-worker rescaling with
-// no allocation beyond the caller's destination row.
-func (f *FittedMinMaxScaler) BlockKernel() core.RowKernel {
-	return func(dst, src []float64) []float64 {
-		copy(dst, src)
-		f.MinMaxScaler.TransformRow(dst)
-		return dst
-	}
 }
 
 // Predict returns the first rescaled coordinate.
@@ -257,20 +231,4 @@ func (f *FittedPCA) TransformRow(row []float64) []float64 {
 	out := make([]float64, f.Components.Rows())
 	f.PCAResult.Transform(row, out)
 	return out
-}
-
-// InCols implements BlockTransformer (the source width D).
-func (f *FittedPCA) InCols() int { return f.Components.Cols() }
-
-// OutCols implements BlockTransformer (the component count K).
-func (f *FittedPCA) OutCols() int { return f.Components.Rows() }
-
-// BlockKernel implements BlockTransformer: per-worker projection with
-// one private centering buffer — no per-row allocation.
-func (f *FittedPCA) BlockKernel() core.RowKernel {
-	centered := make([]float64, f.Components.Cols())
-	return func(dst, src []float64) []float64 {
-		f.PCAResult.TransformInto(src, dst, centered)
-		return dst
-	}
 }
